@@ -283,36 +283,6 @@ class ModelCache:
         return findings
 
 
-# -- shared fleet-policy predicates --------------------------------------------
-def coalescing_allowed(fault_injector: Any) -> bool:
-    """Whether same-fingerprint probes may single-flight coalesce.
-
-    With an active fault plan, fault streams are per switch *name*:
-    each member must run its own probes, so coalescing is off (cache
-    lookups of clean models stay on).  Shared by the event-driven
-    :class:`FleetInferenceEngine` and the sharded engine
-    (:class:`repro.core.shard.ShardedFleetEngine`), whose merge applies
-    the same rule *across* shards.
-    """
-    if fault_injector is None:
-        return True
-    plan = getattr(fault_injector, "plan", None)
-    return plan is not None and plan.is_noop()
-
-
-def cache_store_allowed(model: InferredSwitchModel, fault_injector: Any) -> bool:
-    """Whether a freshly probed model may seed the fingerprint cache.
-
-    Only clean runs qualify: a degraded or faulted model must not be
-    replicated fleet-wide.  Shared across both fleet engines so a
-    worker-side probe and the in-process engine make the identical
-    store decision.
-    """
-    if model.confidence < 1.0:
-        return False
-    return coalescing_allowed(fault_injector)
-
-
 # -- fleet results -------------------------------------------------------------
 @dataclass
 class FleetMemberResult:
@@ -422,14 +392,8 @@ class FleetResult:
 
 
 # -- the fleet engine ----------------------------------------------------------
-class MemberDriver:
-    """Steps one member's inference generator and meters its virtual cost.
-
-    Public because both fleet drivers use it: the in-process
-    :class:`FleetInferenceEngine` steps drivers on one shared event
-    queue, and each :class:`repro.core.shard.ShardedFleetEngine` worker
-    steps its shard's drivers on a shard-local queue.
-    """
+class _MemberDriver:
+    """Steps one member's inference generator and meters its virtual cost."""
 
     def __init__(
         self, member: FleetMember, engine: SwitchInferenceEngine, include_policy: bool
@@ -561,7 +525,8 @@ class FleetInferenceEngine:
         self.cache = ModelCache(self.scores, metrics=self.metrics)
         if sanitizer is not None:
             self.cache = sanitizer.wrap_cache(self.cache)
-        self._fingerprints: Dict[str, str] = {}
+        #: Events the last :meth:`infer_fleet` run executed.
+        self._events = 0
 
     # -- helpers ---------------------------------------------------------------
     def member(self, name: str) -> FleetMember:
@@ -593,8 +558,29 @@ class FleetInferenceEngine:
             **self.engine_knobs,
         )
 
-    def _cache_store_allowed(self, model: InferredSwitchModel) -> bool:
-        return cache_store_allowed(model, self.fault_injector)
+    def _coalescing_allowed(self) -> bool:
+        """Whether same-fingerprint members may share one probe run.
+
+        With an active fault plan, fault streams are per switch *name*:
+        each member must run its own probes, so single-flight joins and
+        cache stores are off (lookups of clean cached models stay on).
+        """
+        if self.fault_injector is None:
+            return True
+        plan = getattr(self.fault_injector, "plan", None)
+        return plan is not None and plan.is_noop()
+
+    def _record_run(self, result: FleetResult) -> None:
+        """Publish a finished run: makespan gauge and provenance record."""
+        self.metrics.gauge("fleet.makespan_ms").set(result.makespan_ms)
+        self.scores.put(
+            FLEET_DB_SWITCH,
+            "fleet_run",
+            result.summary(),
+            recorded_at_ms=result.makespan_ms,
+            source="fleet_engine",
+            members=len(self.members),
+        )
 
     # -- the driver ------------------------------------------------------------
     def infer_fleet(self, include_policy: bool = True) -> FleetResult:
@@ -616,7 +602,7 @@ class FleetInferenceEngine:
         # fingerprint -> names of members waiting on an in-flight probe
         waiters: Dict[str, List[Tuple[FleetMember, float]]] = {}
         leaders: Dict[str, str] = {}
-        coalesce_ok = coalescing_allowed(self.fault_injector)
+        coalesce_ok = self._coalescing_allowed()
 
         self.metrics.counter("fleet.members").inc(len(self.members))
 
@@ -692,18 +678,19 @@ class FleetInferenceEngine:
             )
 
         def complete_probe(
-            driver: MemberDriver, started_ms: float, fingerprint: str
+            driver: _MemberDriver, started_ms: float, fingerprint: str
         ) -> None:
             nonlocal in_flight
             set_owner(driver.member.name)
             now = fleet_clock.now_ms
             assert driver.model is not None
             stored: Optional[CachedModel] = None
-            if self.use_cache and self._cache_store_allowed(driver.model):
+            # Only clean runs seed the cache: a degraded or faulted
+            # model must not be replicated fleet-wide.
+            if self.use_cache and coalesce_ok and driver.model.confidence >= 1.0:
                 stored = self.cache.store(
                     fingerprint, driver.model, driver.member.name, recorded_at_ms=now
                 )
-            self._fingerprints[driver.member.name] = fingerprint
             self.metrics.counter("fleet.full_probes").inc()
             finish_member(
                 FleetMemberResult(
@@ -741,7 +728,7 @@ class FleetInferenceEngine:
             in_flight -= 1
             admit()
 
-        def step(driver: MemberDriver, started_ms: float, fingerprint: str) -> None:
+        def step(driver: _MemberDriver, started_ms: float, fingerprint: str) -> None:
             set_owner(driver.member.name)
             stage, elapsed, done = driver.advance(fleet_clock.now_ms)
             if self.telemetry.enabled and stage is not None:
@@ -772,7 +759,6 @@ class FleetInferenceEngine:
             set_owner(member.name)
             started_ms = fleet_clock.now_ms
             fingerprint = self.fingerprint_for(member, include_policy)
-            self._fingerprints[member.name] = fingerprint
             if self.tracer.enabled:
                 self.tracer.event(
                     "fleet.member_start",
@@ -800,7 +786,7 @@ class FleetInferenceEngine:
                         return
                     leaders[fingerprint] = member.name
             in_flight += 1
-            driver = MemberDriver(member, self._build_engine(index), include_policy)
+            driver = _MemberDriver(member, self._build_engine(index), include_policy)
             sim.call_soon(lambda: step(driver, started_ms, fingerprint))
 
         def admit() -> None:
@@ -826,6 +812,7 @@ class FleetInferenceEngine:
                 self.telemetry.bind_simulator(sim)
             admit()
             makespan = sim.run()
+            self._events = sim.processed_events
             if self.telemetry.enabled:
                 # The last sampler tick can fire after the last workload
                 # event; the fleet makespan is the workload frontier
@@ -845,15 +832,7 @@ class FleetInferenceEngine:
             makespan_ms=makespan,
             max_in_flight=self.max_in_flight,
         )
-        self.metrics.gauge("fleet.makespan_ms").set(makespan)
-        self.scores.put(
-            FLEET_DB_SWITCH,
-            "fleet_run",
-            result.summary(),
-            recorded_at_ms=makespan,
-            source="fleet_engine",
-            members=len(self.members),
-        )
+        self._record_run(result)
         return result
 
     # -- drift-driven invalidation ---------------------------------------------
@@ -896,10 +875,7 @@ __all__ = [
     "FleetMember",
     "FleetMemberResult",
     "FleetResult",
-    "MemberDriver",
     "ModelCache",
     "build_fleet",
-    "cache_store_allowed",
-    "coalescing_allowed",
     "profile_fingerprint",
 ]

@@ -1,71 +1,71 @@
 """Sharded fleet inference across worker processes.
 
-The event-driven :class:`~repro.core.fleet.FleetInferenceEngine` runs
-every member on one event queue in one process, which caps fleet scale
-at a single core.  :class:`ShardedFleetEngine` partitions the fleet
-across N workers -- each running its own
-:class:`~repro.sim.events.Simulator`, shard-local
-:class:`~repro.core.scores.TangoScoreDatabase`, and
-:class:`~repro.core.fleet.ModelCache` -- and then merges the per-shard
-event streams back into one byte-identical global record order.
+:class:`ShardedFleetEngine` is a
+:class:`~repro.core.fleet.FleetInferenceEngine` that can partition the
+fleet across N worker processes.  There is one fleet event loop: each
+worker runs the ordinary engine's
+:meth:`~repro.core.fleet.FleetInferenceEngine.infer_fleet` over its own
+members, and this module only ships members out and merges the
+per-shard record streams back into one byte-identical global order.
+When the partition leaves a single non-empty shard the merge would be
+the identity, so that run *is* the ordinary engine, writing straight
+into the caller's database.
 
-**The merge protocol.**  Every worker-side event carries its *scheduling
-chain*: the tuple of virtual times of its ancestor events, root first
-(a member's first step is ``(0.0,)``; an event at time ``T`` that
-schedules a follow-up ``elapsed`` later extends the chain with
-``T + elapsed``).  In the single-queue engine, events are executed in
-``(time, push sequence)`` heap order, and because every member is
-admitted synchronously at time zero in member order, that order is
+**The merge protocol.**  A worker plugs a journal into the engine's
+sanitizer seam, which hands it what the race sanitizer gets: a
+simulator that records :class:`~repro.sim.events.ProvenanceRecorder`
+parent links, and the member each callback runs for.  The journal keeps
+every score-database put made inside an event, tagged with the event
+and that member.  An event's *scheduling chain* is the virtual times of
+its scheduling ancestors, root first, read off the parent links.  The
+single queue runs events in ``(time, push sequence)`` order, and
+because every member is admitted at time zero in member order, that is
 exactly the lexicographic order of ``(reversed(chain), member index)``
-with Python's shorter-prefix-first tuple comparison.  The merge sorts
-the union of all shards' event batches by that key and replays each
-batch's TangoDB puts into the caller's database, so the merged record
-stream -- values, timestamps, provenance, and *insertion order* -- is
-byte-identical to a single-queue run of the whole fleet.  It follows
-that a 1-shard run equals :class:`FleetInferenceEngine` exactly and a
-fixed seed replays identically at every shard count and partition.
+(shorter prefix first).  The merge sorts every shard's event batches by
+that key and replays them into the caller's database, so the merged
+record stream -- values, timestamps, provenance and insertion order --
+is byte-identical to a single-queue run at every shard count and
+partition.  Each member's seed is pinned to ``seed + global index``
+before it ships, so seeding does not depend on the partition either.
 
-**Cross-shard single-flight.**  Shard-local coalescing stays on (a
-worker never probes the same fingerprint twice), and the merge extends
-it across shards: for each fingerprint the *global* leader is the
-lowest-indexed cold member fleet-wide, duplicate leaders probed by
-other shards are dropped (counted as cross-shard coalesce hits, their
-probe ops as waste), and the leader's completion batch is resynthesized
-with the global waiter set in member order -- the identical records a
-single queue would have written.
+**Cross-shard single-flight.**  Workers coalesce same-fingerprint
+members locally, and the merge extends that across shards: the global
+leader of a fingerprint is its lowest-indexed cold member, duplicate
+leaders from other shards are dropped (counted as cross-shard coalesce
+hits, their probe ops as waste), and the leader's completion batch
+gains the global waiter set in member order -- the records a single
+queue would have written.
 
-**What sharding gives up.**  Admission is unbounded (``max_in_flight``
-is meaningless across processes), and tracer/metrics/telemetry/
-sanitizer hooks are not threaded through workers; use the single-queue
-engine when those matter.  Everything crossing the worker boundary --
-members, fault plans, retry policies, warm cache records, inferred
-models -- travels by pickle, so the ``process`` backend is spawn-safe.
+**What sharding gives up.**  With more than one shard, admission is
+unbounded (every member admits at time zero) and no tracer, metrics,
+telemetry or sanitizer crosses the worker boundary, so ``max_in_flight``
+and those hooks raise :class:`ValueError`; run one shard to use them.
+Duplicate leaders on different shards each probe in full before the
+merge keeps one.  Everything crossing the worker boundary -- members,
+fault plans, retry policies, warm cache records, member results --
+travels by pickle, so the ``process`` backend is spawn-safe.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import os
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+from repro.analysis.racecheck import RaceSanitizer
 from repro.core.fleet import (
     FLEET_DB_SWITCH,
     MODEL_CACHE_METRIC,
-    CachedModel,
+    FleetInferenceEngine,
     FleetMember,
     FleetMemberResult,
     FleetResult,
-    MemberDriver,
-    ModelCache,
-    cache_store_allowed,
-    coalescing_allowed,
-    profile_fingerprint,
 )
-from repro.core.inference import InferredSwitchModel, SwitchInferenceEngine
 from repro.core.placement import PARTITION_STRATEGIES, partition_names
 from repro.core.scores import ScoreKey, ScoreRecord, TangoScoreDatabase
 from repro.faults.injector import FaultInjector
-from repro.sim.events import Simulator
 from repro.switches.profiles import SwitchProfile
 
 #: Execution backends: ``inline`` runs every shard sequentially in this
@@ -73,29 +73,35 @@ from repro.switches.profiles import SwitchProfile
 #: over a ``multiprocessing`` pool.
 SHARD_BACKENDS: Tuple[str, ...] = ("inline", "process")
 
+class _Batch(NamedTuple):
+    """The puts one event made on behalf of one member.
 
-class _JournalingScoreDatabase(TangoScoreDatabase):
-    """A shard-local TangoDB that can journal the puts of one event.
-
-    Workers wrap each event's action in ``start_journal`` /
-    ``take_journal`` so every batch of records an event produced can be
-    shipped back (with its scheduling chain) for the deterministic
-    merge.  Outside a journal window, puts behave exactly as the base
-    class -- warm-cache replay and local-waiter bookkeeping stay out of
-    the shipped stream.
+    The merge replays batches in ``(key, member)`` order.
     """
 
-    def __init__(self) -> None:
+    key: Tuple[float, ...]  # the event's scheduling chain, newest first
+    member: int  # global member index
+    records: Tuple[ScoreRecord, ...]
+
+
+def _put(scores: TangoScoreDatabase, record: ScoreRecord) -> None:
+    """Write ``record`` into ``scores`` under its own key."""
+    scores.put(
+        record.key.switch,
+        record.key.metric,
+        record.value,
+        recorded_at_ms=record.recorded_at_ms,
+        source=record.source,
+        **dict(record.key.params),
+    )
+
+
+class _JournalingScoreDatabase(TangoScoreDatabase):
+    """A shard-local TangoDB that reports every put to its journal."""
+
+    def __init__(self, journal: "_ShardJournal") -> None:
         super().__init__()
-        self._journal: Optional[List[ScoreRecord]] = None
-
-    def start_journal(self) -> None:
-        self._journal = []
-
-    def take_journal(self) -> List[ScoreRecord]:
-        captured = self._journal if self._journal is not None else []
-        self._journal = None
-        return captured
+        self._journal = journal
 
     def put(
         self,
@@ -110,42 +116,79 @@ class _JournalingScoreDatabase(TangoScoreDatabase):
             switch, metric, value, recorded_at_ms=recorded_at_ms,
             source=source, **params,
         )
-        if self._journal is not None:
-            record = self.get_by_key(key)
-            assert record is not None
-            self._journal.append(record)
+        self._journal.note_put(
+            ScoreRecord(
+                key=key, value=value, recorded_at_ms=recorded_at_ms, source=source
+            )
+        )
         return key
 
 
-@dataclass
-class _EventBatch:
-    """The TangoDB puts of one worker-side event, with its chain.
+class _ShardJournal(RaceSanitizer):
+    """A worker's journal of the fleet loop's score-database writes.
 
-    ``chain`` is the event's scheduling-ancestor virtual times, root
-    first; the merge sorts batches by ``(reversed(chain), member)``.
+    Plugged in as the engine's sanitizer, it inherits the provenance
+    simulator and owner attribution but logs no accesses: it keeps the
+    puts made inside events (setup and teardown around the run stay
+    out) and each member's last event.
     """
 
-    chain: Tuple[float, ...]
-    records: Tuple[ScoreRecord, ...]
+    def __init__(self) -> None:
+        super().__init__()
+        self.scores = _JournalingScoreDatabase(self)
+        self._puts: List[Tuple[int, str, ScoreRecord]] = []
+        self._last_event: Dict[str, int] = {}
 
+    def wrap_scores(self, scores: TangoScoreDatabase) -> TangoScoreDatabase:
+        return scores  # already this journal's database
 
-@dataclass
-class _MemberOutcome:
-    """One member's worker-side result, shipped back for the merge."""
+    def wrap_metrics(self, metrics):
+        return metrics
 
-    index: int  # global member index (the merge tie-break)
-    name: str
-    profile_name: str
-    fingerprint: str
-    kind: str = "leader"  # "leader" | "cache" | "waiter"
-    model: Optional[InferredSwitchModel] = None
-    cache_origin: Optional[str] = None
-    finished_ms: float = 0.0
-    probe_ops: int = 0
-    steps: Tuple[Tuple[str, float, float], ...] = ()
-    batches: List[_EventBatch] = field(default_factory=list)
-    complete_chain: Tuple[float, ...] = ()
-    store_record: Optional[ScoreRecord] = None
+    def wrap_cache(self, cache):
+        return cache
+
+    def _event_sequence(self) -> Optional[int]:
+        event = self._sim.current_event if self._sim is not None else None
+        return event.sequence if event is not None else None
+
+    def set_owner(self, owner: str) -> None:
+        super().set_owner(owner)
+        sequence = self._event_sequence()
+        if sequence is not None:
+            self._last_event[owner] = sequence
+
+    def note_put(self, record: ScoreRecord) -> None:
+        sequence = self._event_sequence()
+        if sequence is not None:
+            self._puts.append((sequence, self._owner, record))
+
+    def merge_key(self, sequence: int) -> Tuple[float, ...]:
+        """An event's scheduling chain, newest first: the merge sort key."""
+        key: List[float] = []
+        current: Optional[int] = sequence
+        while current is not None:
+            key.append(self.provenance.times[current])
+            current = self.provenance.parents[current]
+        return tuple(key)
+
+    def batches(self, index_of: Dict[str, int]) -> Tuple[_Batch, ...]:
+        """The journaled puts grouped by (event, owning member)."""
+        return tuple(
+            _Batch(
+                self.merge_key(sequence), index_of[owner], tuple(put[2] for put in puts)
+            )
+            for (sequence, owner), puts in itertools.groupby(
+                self._puts, key=lambda put: put[:2]
+            )
+        )
+
+    def final_keys(self, index_of: Dict[str, int]) -> Dict[int, Tuple[float, ...]]:
+        """Member index -> merge key of the last event run on its behalf."""
+        return {
+            index_of[owner]: self.merge_key(sequence)
+            for owner, sequence in self._last_event.items()
+        }
 
 
 @dataclass
@@ -154,8 +197,7 @@ class _ShardTask:
 
     shard_index: int
     indices: Tuple[int, ...]  # global member indices, ascending
-    members: Tuple[FleetMember, ...]
-    seed: int
+    members: Tuple[FleetMember, ...]  # seeds pinned to seed + global index
     include_policy: bool
     use_cache: bool
     engine_knobs: Dict[str, Any]
@@ -166,198 +208,97 @@ class _ShardTask:
 
 @dataclass
 class _ShardResult:
-    """One worker's merged-protocol output."""
+    """One worker's run, in the form the merge consumes."""
 
     shard_index: int
-    outcomes: Tuple[_MemberOutcome, ...]
+    indices: Tuple[int, ...]
+    members: Tuple[FleetMemberResult, ...]
     makespan_ms: float
     events: int
-    records: int
+    batches: Tuple[_Batch, ...]
+    final_keys: Dict[int, Tuple[float, ...]]
 
 
-def _run_shard(task: _ShardTask) -> _ShardResult:
-    """Run one shard's members on a private simulator and journal it.
+def _infer_shard(task: _ShardTask) -> _ShardResult:
+    """Run the fleet loop over one shard's members and journal it.
 
     Module-level (not a closure) so the ``process`` backend can pickle
-    it under the ``spawn`` start method.  This mirrors
-    :meth:`FleetInferenceEngine.infer_fleet` exactly -- synchronous
-    admission of every member at time zero, one zero-delay event per
-    cache hit, a step-event chain per probing member -- minus the
-    telemetry hooks and bounded admission the sharded engine does not
-    support.
+    it under the ``spawn`` start method.
     """
-    scores = _JournalingScoreDatabase()
+    journal = _ShardJournal()
     for record in task.cache_records:
-        scores.put(
-            record.key.switch,
-            record.key.metric,
-            record.value,
-            recorded_at_ms=record.recorded_at_ms,
-            source=record.source,
-            **dict(record.key.params),
-        )
-    cache = ModelCache(scores)
-    injector = (
-        FaultInjector(task.fault_plan) if task.fault_plan is not None else None
+        _put(journal.scores, record)
+    engine = FleetInferenceEngine(
+        task.members,
+        scores=journal.scores,
+        use_cache=task.use_cache,
+        fault_injector=(
+            FaultInjector(task.fault_plan) if task.fault_plan is not None else None
+        ),
+        retry_policy=task.retry_policy,
+        sanitizer=journal,
+        **task.engine_knobs,
     )
-    coalesce_ok = coalescing_allowed(injector)
-    sim = Simulator()
-    clock = sim.clock
-    outcomes: Dict[int, _MemberOutcome] = {}
-    leaders: Dict[str, int] = {}
-
-    def build_engine(member: FleetMember, seed: int) -> SwitchInferenceEngine:
-        return SwitchInferenceEngine(
-            member.named_profile(),
-            scores=scores,
-            seed=seed,
-            fault_injector=injector,
-            retry_policy=task.retry_policy,
-            **task.engine_knobs,
-        )
-
-    def cache_hit(outcome, member, entry, chain):
-        def action() -> None:
-            now = clock.now_ms
-            scores.start_journal()
-            model = entry.model.clone_as(member.name)
-            scores.put(
-                member.name,
-                "switch_model",
-                model,
-                recorded_at_ms=now,
-                source=f"fleet_cache:{entry.origin}",
-            )
-            outcome.batches.append(
-                _EventBatch(chain=chain, records=tuple(scores.take_journal()))
-            )
-            outcome.model = model
-            outcome.finished_ms = now
-
-        return action
-
-    def complete_probe(outcome, driver, fingerprint, chain):
-        def action() -> None:
-            now = clock.now_ms
-            assert driver.model is not None
-            if task.use_cache and cache_store_allowed(driver.model, injector):
-                scores.start_journal()
-                cache.store(
-                    fingerprint, driver.model, driver.member.name,
-                    recorded_at_ms=now,
-                )
-                outcome.store_record = scores.take_journal()[0]
-            # Local waiters are *not* completed here: the merge
-            # resynthesizes the completion batch from the global waiter
-            # set, which this shard cannot know.
-            outcome.model = driver.model
-            outcome.finished_ms = now
-            outcome.probe_ops = driver.engine.probe_ops()
-            outcome.steps = tuple(driver.step_log)
-            outcome.complete_chain = chain
-
-        return action
-
-    def step(outcome, driver, fingerprint, chain):
-        def action() -> None:
-            now = clock.now_ms
-            scores.start_journal()
-            stage, elapsed, done = driver.advance(now)
-            outcome.batches.append(
-                _EventBatch(chain=chain, records=tuple(scores.take_journal()))
-            )
-            next_chain = chain + (now + elapsed,)
-            if done:
-                sim.schedule(
-                    elapsed,
-                    complete_probe(outcome, driver, fingerprint, next_chain),
-                )
-            else:
-                sim.schedule(
-                    elapsed, step(outcome, driver, fingerprint, next_chain)
-                )
-
-        return action
-
-    for position, global_index in enumerate(task.indices):
-        member = task.members[position]
-        fingerprint = profile_fingerprint(
-            member.profile,
-            include_policy=task.include_policy,
-            **task.engine_knobs,
-        )
-        outcome = _MemberOutcome(
-            index=global_index,
-            name=member.name,
-            profile_name=member.profile.name,
-            fingerprint=fingerprint,
-        )
-        outcomes[global_index] = outcome
-        if task.use_cache:
-            entry = cache.lookup(fingerprint)
-            if entry is not None:
-                outcome.kind = "cache"
-                outcome.cache_origin = entry.origin
-                sim.call_soon(cache_hit(outcome, member, entry, (0.0,)))
-                continue
-            if coalesce_ok:
-                if fingerprint in leaders:
-                    outcome.kind = "waiter"
-                    continue
-                leaders[fingerprint] = global_index
-        outcome.kind = "leader"
-        seed = member.seed if member.seed is not None else task.seed + global_index
-        driver = MemberDriver(
-            member, build_engine(member, seed), task.include_policy
-        )
-        sim.call_soon(step(outcome, driver, fingerprint, (0.0,)))
-
-    makespan = sim.run()
-    ordered = tuple(outcomes[index] for index in task.indices)
-    journaled = sum(
-        len(batch.records) for o in ordered for batch in o.batches
-    ) + sum(1 for o in ordered if o.store_record is not None)
+    result = engine.infer_fleet(include_policy=task.include_policy)
+    index_of = {member.name: index for member, index in zip(task.members, task.indices)}
     return _ShardResult(
         shard_index=task.shard_index,
-        outcomes=ordered,
-        makespan_ms=makespan,
-        events=sim.processed_events,
-        records=journaled,
+        indices=task.indices,
+        members=tuple(result.members),
+        makespan_ms=result.makespan_ms,
+        events=engine._events,
+        batches=journal.batches(index_of),
+        final_keys=journal.final_keys(index_of),
     )
 
 
-class ShardedFleetEngine:
-    """Fleet inference partitioned across worker processes.
+def _shard_row(
+    shard: int,
+    members: Sequence[FleetMemberResult],
+    makespan_ms: float,
+    events: int,
+    records: int,
+) -> Dict[str, Any]:
+    """One ``shard_stats["per_shard"]`` entry."""
+    return {
+        "shard": shard,
+        "members": len(members),
+        "full_probes": sum(1 for member in members if member.full_probe),
+        "cache_hits": sum(1 for member in members if member.cache_hit),
+        "makespan_ms": round(makespan_ms, 4),
+        "events": events,
+        "records": records,
+    }
 
-    Same contract as :class:`FleetInferenceEngine` with unbounded
-    admission: identical :class:`FleetResult`, identical TangoDB
-    records in identical insertion order, identical JSON summary -- at
-    any ``shards`` count, under either partition strategy, on either
-    backend.  See the module docstring for the merge protocol.
+
+class ShardedFleetEngine(FleetInferenceEngine):
+    """Fleet inference, partitioned across worker processes.
+
+    Same contract as :class:`FleetInferenceEngine`: identical
+    :class:`FleetResult`, identical TangoDB records in identical
+    insertion order, identical JSON summary -- at any ``shards`` count,
+    under either partition strategy, on either backend.  See the module
+    docstring for the merge protocol.
 
     Args:
-        members: fleet members or bare profiles (names must be unique).
-        scores: the caller's score database; warm
-            ``(fingerprint -> model)`` cache entries found here are
-            shipped to every worker, and the merged run's records land
-            back here.
-        seed: base seed; member ``i`` defaults to ``seed + i``
-            (``i`` is the *global* member index, so seeding is
-            partition-independent).
+        members, scores, seed: as for :class:`FleetInferenceEngine`;
+            member ``i`` defaults to seed ``seed + i`` with ``i`` the
+            *global* index, so seeding is partition-independent.  Warm
+            model-cache entries in ``scores`` are shipped to every
+            worker, and the merged run's records land back in it.
         shards: worker count requested (clamped to the fleet size).
+            With more than one, ``max_in_flight``, ``tracer``,
+            ``metrics``, ``telemetry`` and ``sanitizer`` raise
+            :class:`ValueError`.
         partition: ``round_robin`` or ``tier`` (see
             :func:`repro.core.placement.partition_names`).
         backend: ``inline`` or ``process``.
         mp_start_method: ``fork``/``spawn``/``forkserver``; default
             prefers ``fork`` where available, else ``spawn``.
-        use_cache: consult/populate the fingerprint model cache.
-        fault_injector: optional :class:`FaultInjector`; its *plan* is
-            shipped and each worker rebuilds a fresh injector (fault
-            decision streams are per switch name, so the replay is
-            byte-identical).
-        retry_policy: forwarded to every member engine.
-        remaining keyword knobs: forwarded to every member's
-            :class:`SwitchInferenceEngine`.
+        options: every other :class:`FleetInferenceEngine` keyword.  A
+            fault injector's *plan* is shipped and each worker rebuilds
+            a fresh injector (fault decision streams are per switch
+            name, so the replay is byte-identical).
     """
 
     def __init__(
@@ -369,25 +310,8 @@ class ShardedFleetEngine:
         partition: str = "round_robin",
         backend: str = "process",
         mp_start_method: Optional[str] = None,
-        use_cache: bool = True,
-        fault_injector=None,
-        retry_policy=None,
-        size_probe_max_rules: int = 8192,
-        size_accuracy_target: float = 0.02,
-        latency_batch_sizes: Tuple[int, ...] = (100, 400, 900, 1600),
-        policy_cache_size: Optional[int] = None,
+        **options: Any,
     ) -> None:
-        resolved: List[FleetMember] = []
-        for item in members:
-            if isinstance(item, FleetMember):
-                resolved.append(item)
-            else:
-                resolved.append(FleetMember(name=item.name, profile=item))
-        if not resolved:
-            raise ValueError("a fleet needs at least one member")
-        names = [member.name for member in resolved]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate fleet member names: {sorted(names)}")
         if shards < 1:
             raise ValueError(f"shards must be positive, got {shards}")
         if partition not in PARTITION_STRATEGIES:
@@ -400,78 +324,58 @@ class ShardedFleetEngine:
                 f"unknown shard backend {backend!r}; "
                 f"known: {sorted(SHARD_BACKENDS)}"
             )
-        self.members = resolved
-        self.scores = scores if scores is not None else TangoScoreDatabase()
-        self.seed = seed
+        # Null tracers/metrics/telemetry are disabled, so they count as absent.
+        attached = [
+            name
+            for name in ("max_in_flight", "sanitizer", "tracer", "metrics", "telemetry")
+            if options.get(name) is not None and getattr(options[name], "enabled", True)
+        ]
+        if shards > 1 and attached:
+            raise ValueError(
+                f"--shards cannot be combined with {', '.join(attached)}: "
+                f"{shards} worker processes have no admission bound and carry "
+                "no tracer, metrics, telemetry or sanitizer (run one shard)"
+            )
+        super().__init__(members, scores=scores, seed=seed, **options)
         self.shards = shards
         self.partition = partition
         self.backend = backend
         self.mp_start_method = mp_start_method
-        self.use_cache = use_cache
-        self.fault_injector = fault_injector
-        self.retry_policy = retry_policy
-        self.engine_knobs: Dict[str, Any] = {
-            "size_probe_max_rules": size_probe_max_rules,
-            "size_accuracy_target": size_accuracy_target,
-            "latency_batch_sizes": tuple(latency_batch_sizes),
-            "policy_cache_size": policy_cache_size,
-        }
-        self.cache = ModelCache(self.scores)
         self.shard_stats: Dict[str, Any] = {}
-        self._fingerprints: Dict[str, str] = {}
 
-    # -- helpers ---------------------------------------------------------------
-    def member(self, name: str) -> FleetMember:
-        for candidate in self.members:
-            if candidate.name == name:
-                return candidate
-        raise KeyError(f"no fleet member named {name!r}")
-
-    def fingerprint_for(self, member: FleetMember, include_policy: bool = True) -> str:
-        """The cache fingerprint this member resolves to."""
-        return profile_fingerprint(
-            member.profile, include_policy=include_policy, **self.engine_knobs
-        )
-
-    def _fault_plan(self):
-        return getattr(self.fault_injector, "plan", None)
-
-    def _warm_cache_records(self) -> Tuple[ScoreRecord, ...]:
-        """The caller-side model-cache entries every worker receives."""
-        return tuple(
-            record
-            for record in self.scores.records_for_switch(FLEET_DB_SWITCH)
-            if record.key.metric == MODEL_CACHE_METRIC
-        )
-
-    def _build_tasks(self, include_policy: bool) -> List[_ShardTask]:
-        groups = partition_names(
-            [member.name for member in self.members], self.shards, self.partition
-        )
-        cache_records = self._warm_cache_records() if self.use_cache else ()
-        tasks: List[_ShardTask] = []
-        for shard_index, group in enumerate(groups):
-            if not group:
-                continue  # more shards requested than members
-            tasks.append(
-                _ShardTask(
-                    shard_index=shard_index,
-                    indices=tuple(group),
-                    members=tuple(self.members[index] for index in group),
-                    seed=self.seed,
-                    include_policy=include_policy,
-                    use_cache=self.use_cache,
-                    engine_knobs=dict(self.engine_knobs),
-                    fault_plan=self._fault_plan(),
-                    retry_policy=self.retry_policy,
-                    cache_records=cache_records,
-                )
+    def _build_tasks(
+        self, groups: List[Tuple[int, List[int]]], include_policy: bool
+    ) -> List[_ShardTask]:
+        cache_records: Tuple[ScoreRecord, ...] = ()
+        if self.use_cache:
+            cache_records = tuple(
+                record
+                for record in self.scores.records_for_switch(FLEET_DB_SWITCH)
+                if record.key.metric == MODEL_CACHE_METRIC
             )
-        return tasks
+        return [
+            _ShardTask(
+                shard_index=shard_index,
+                indices=tuple(group),
+                members=tuple(
+                    dataclasses.replace(
+                        self.members[index], seed=self._member_seed(index)
+                    )
+                    for index in group
+                ),
+                include_policy=include_policy,
+                use_cache=self.use_cache,
+                engine_knobs=dict(self.engine_knobs),
+                fault_plan=getattr(self.fault_injector, "plan", None),
+                retry_policy=self.retry_policy,
+                cache_records=cache_records,
+            )
+            for shard_index, group in groups
+        ]
 
     def _run_tasks(self, tasks: List[_ShardTask]) -> List[_ShardResult]:
-        if self.backend == "inline" or len(tasks) == 1:
-            return [_run_shard(task) for task in tasks]
+        if self.backend == "inline":
+            return [_infer_shard(task) for task in tasks]
         import multiprocessing
 
         method = self.mp_start_method
@@ -484,194 +388,151 @@ class ShardedFleetEngine:
         context = multiprocessing.get_context(method)
         workers = min(len(tasks), max(1, os.cpu_count() or 1))
         with context.Pool(processes=workers) as pool:
-            return pool.map(_run_shard, tasks, chunksize=1)
+            return pool.map(_infer_shard, tasks, chunksize=1)
 
-    # -- the deterministic merge ----------------------------------------------
     def infer_fleet(self, include_policy: bool = True) -> FleetResult:
         """Infer every member across the shards and merge the streams.
 
-        Returns the identical :class:`FleetResult` a single-queue
-        unbounded run would produce; ``shard_stats`` afterwards holds
-        the per-shard and merge accounting (never part of the result
-        or the TangoDB stream, so summaries stay byte-identical).
+        Returns the identical :class:`FleetResult` a single-queue run
+        would produce; ``shard_stats`` afterwards holds the per-shard
+        and merge accounting (never part of the result or the TangoDB
+        stream, so summaries stay byte-identical).
         """
-        tasks = self._build_tasks(include_policy)
-        shard_results = self._run_tasks(tasks)
-
-        outcomes: Dict[int, _MemberOutcome] = {}
-        for shard in shard_results:
-            for outcome in shard.outcomes:
-                outcomes[outcome.index] = outcome
-        coalesce_ok = self.use_cache and coalescing_allowed(self.fault_injector)
-
-        # Cross-shard single-flight: the global leader of a fingerprint
-        # is its lowest-indexed cold member; other shards' duplicate
-        # probes are dropped, their waiters re-homed onto the winner.
-        kept: List[_MemberOutcome] = []
-        dropped: List[_MemberOutcome] = []
-        waiters_of: Dict[str, List[_MemberOutcome]] = {}
-        if coalesce_ok:
-            leader_of: Dict[str, _MemberOutcome] = {}
-            for index in sorted(outcomes):
-                outcome = outcomes[index]
-                if outcome.kind == "leader":
-                    if outcome.fingerprint in leader_of:
-                        dropped.append(outcome)
-                    else:
-                        leader_of[outcome.fingerprint] = outcome
-                        kept.append(outcome)
-                elif outcome.kind == "waiter":
-                    waiters_of.setdefault(outcome.fingerprint, []).append(outcome)
-            for duplicate in dropped:
-                waiters_of.setdefault(duplicate.fingerprint, []).append(duplicate)
-        else:
-            kept = [
-                outcomes[index]
-                for index in sorted(outcomes)
-                if outcomes[index].kind == "leader"
+        groups = [
+            (shard_index, group)
+            for shard_index, group in enumerate(
+                partition_names(
+                    [member.name for member in self.members],
+                    self.shards,
+                    self.partition,
+                )
+            )
+            if group  # more shards requested than members
+        ]
+        if len(groups) == 1:
+            result = super().infer_fleet(include_policy)
+            dropped: List[FleetMemberResult] = []
+            merged: List[_Batch] = []
+            per_shard = [
+                _shard_row(
+                    groups[0][0], result.members, result.makespan_ms, self._events, 0
+                )
             ]
-
-        # Interleave every shard's event batches into the global order:
-        # lexicographic (reversed chain, member index), which is exactly
-        # the single queue's (time, push sequence) execution order.
-        merge_events: List[Tuple[Tuple[float, ...], int, Tuple[ScoreRecord, ...]]]
-        merge_events = []
-        for index in sorted(outcomes):
-            outcome = outcomes[index]
-            if outcome.kind == "cache":
-                for batch in outcome.batches:
-                    merge_events.append(
-                        (tuple(reversed(batch.chain)), index, batch.records)
-                    )
-        for leader in kept:
-            for batch in leader.batches:
-                merge_events.append(
-                    (tuple(reversed(batch.chain)), leader.index, batch.records)
+        else:
+            shards = self._run_tasks(self._build_tasks(groups, include_policy))
+            result, dropped, merged = self._merge(shards)
+            per_shard = [
+                _shard_row(
+                    shard.shard_index, shard.members, shard.makespan_ms,
+                    shard.events,
+                    sum(len(batch.records) for batch in shard.batches),
                 )
-            completion: List[ScoreRecord] = []
-            entry: Optional[CachedModel] = None
-            if leader.store_record is not None:
-                completion.append(leader.store_record)
-                entry = leader.store_record.value
-            group = sorted(
-                waiters_of.get(leader.fingerprint, ()), key=lambda o: o.index
-            )
-            if group and entry is None:
-                assert leader.model is not None
-                entry = CachedModel(
-                    fingerprint=leader.fingerprint,
-                    model=leader.model,
-                    origin=leader.name,
-                    recorded_at_ms=leader.finished_ms,
-                )
-            for waiter in group:
-                assert entry is not None
-                model = entry.model.clone_as(waiter.name)
-                waiter.model = model
-                waiter.cache_origin = entry.origin
-                waiter.finished_ms = leader.finished_ms
-                completion.append(
-                    ScoreRecord(
-                        key=ScoreKey.make(waiter.name, "switch_model"),
-                        value=model,
-                        recorded_at_ms=leader.finished_ms,
-                        source=f"fleet_coalesced:{entry.origin}",
-                    )
-                )
-            merge_events.append(
-                (tuple(reversed(leader.complete_chain)), leader.index, tuple(completion))
-            )
-        merge_events.sort(key=lambda event: (event[0], event[1]))
-
-        merged_records = 0
-        for _, _, records in merge_events:
-            for record in records:
-                merged_records += 1
-                self.scores.put(
-                    record.key.switch,
-                    record.key.metric,
-                    record.value,
-                    recorded_at_ms=record.recorded_at_ms,
-                    source=record.source,
-                    **dict(record.key.params),
-                )
-
-        # Reconstruct the cache counters a single-queue run would show:
-        # every member looked up once (phase A), leaders with clean
-        # models stored once.
-        if self.use_cache:
-            warm = sum(1 for o in outcomes.values() if o.kind == "cache")
-            self.cache.hits += warm
-            self.cache.misses += len(outcomes) - warm
-            self.cache.stores += sum(
-                1 for leader in kept if leader.store_record is not None
-            )
-
-        makespan = max((leader.finished_ms for leader in kept), default=0.0)
-        kept_indices = {leader.index for leader in kept}
-        dropped_indices = {duplicate.index for duplicate in dropped}
-        results: List[FleetMemberResult] = []
-        for index, member in enumerate(self.members):
-            outcome = outcomes[index]
-            assert outcome.model is not None
-            self._fingerprints[member.name] = outcome.fingerprint
-            results.append(
-                FleetMemberResult(
-                    name=outcome.name,
-                    profile_name=outcome.profile_name,
-                    fingerprint=outcome.fingerprint,
-                    model=outcome.model,
-                    started_ms=0.0,
-                    finished_ms=outcome.finished_ms,
-                    cache_hit=outcome.kind == "cache",
-                    coalesced=outcome.kind == "waiter"
-                    or index in dropped_indices,
-                    cache_origin=outcome.cache_origin,
-                    probe_ops=outcome.probe_ops if index in kept_indices else 0,
-                    steps=outcome.steps if index in kept_indices else (),
-                )
-            )
-        result = FleetResult(
-            members=results, makespan_ms=makespan, max_in_flight=None
-        )
-        self.scores.put(
-            FLEET_DB_SWITCH,
-            "fleet_run",
-            result.summary(),
-            recorded_at_ms=makespan,
-            source="fleet_engine",
-            members=len(self.members),
-        )
-
+                for shard in shards
+            ]
         self.shard_stats = {
             "shards": self.shards,
-            "workers": len(tasks),
+            "workers": len(groups),
             "partition": self.partition,
             "backend": self.backend,
             "members": len(self.members),
             "cross_shard_coalesced": len(dropped),
-            "wasted_probe_ops": sum(o.probe_ops for o in dropped),
-            "merge_events": len(merge_events),
-            "merge_records": merged_records,
+            "wasted_probe_ops": sum(member.probe_ops for member in dropped),
+            "merge_events": len(merged),
+            "merge_records": sum(len(batch.records) for batch in merged),
             "cpu_count": os.cpu_count(),
-            "per_shard": [
-                {
-                    "shard": shard.shard_index,
-                    "members": len(shard.outcomes),
-                    "full_probes": sum(
-                        1 for o in shard.outcomes if o.kind == "leader"
-                    ),
-                    "cache_hits": sum(
-                        1 for o in shard.outcomes if o.kind == "cache"
-                    ),
-                    "makespan_ms": round(shard.makespan_ms, 4),
-                    "events": shard.events,
-                    "records": shard.records,
-                }
-                for shard in shard_results
-            ],
+            "per_shard": per_shard,
         }
         return result
+
+    # -- the deterministic merge ----------------------------------------------
+    def _merge(
+        self, shards: List[_ShardResult]
+    ) -> Tuple[FleetResult, List[FleetMemberResult], List[_Batch]]:
+        """Merge worker runs into the caller's database and one result.
+
+        Also returns the duplicate leaders cross-shard single-flight
+        dropped and the batches replayed, for ``shard_stats``.
+        """
+        results: Dict[int, FleetMemberResult] = {}
+        final_keys: Dict[int, Tuple[float, ...]] = {}
+        batches: List[_Batch] = []
+        for shard in shards:
+            results.update(zip(shard.indices, shard.members))
+            final_keys.update(shard.final_keys)
+            batches.extend(shard.batches)
+
+        # Cross-shard single-flight: the global leader of a fingerprint
+        # is its lowest-indexed cold member.  Local waiters and other
+        # shards' duplicate leaders all join it.
+        coalesce = self.use_cache and self._coalescing_allowed()
+        leader_of: Dict[str, int] = {}
+        waiters: Dict[int, List[int]] = {}
+        dropped: List[FleetMemberResult] = []
+        for index in sorted(results):
+            member = results[index]
+            if member.cache_hit:
+                continue
+            leader = leader_of.get(member.fingerprint) if coalesce else None
+            if leader is None:
+                leader_of[member.fingerprint] = index
+                continue
+            if member.full_probe:
+                dropped.append(member)
+            waiters.setdefault(leader, []).append(index)
+
+        # Waiters' own records are dropped; each leader's completion
+        # batch gains the global waiter set (after its own store record,
+        # by the stable sort below).
+        joined = {index for group in waiters.values() for index in group}
+        merged = [batch for batch in batches if batch.member not in joined]
+        for leader_index, group in waiters.items():
+            leader = results[leader_index]
+            records = []
+            for index in group:
+                model = leader.model.clone_as(results[index].name)
+                results[index] = dataclasses.replace(
+                    results[index],
+                    model=model,
+                    finished_ms=leader.finished_ms,
+                    coalesced=True,
+                    cache_origin=leader.name,
+                    probe_ops=0,
+                    steps=(),
+                )
+                records.append(
+                    ScoreRecord(
+                        key=ScoreKey.make(results[index].name, "switch_model"),
+                        value=model,
+                        recorded_at_ms=leader.finished_ms,
+                        source=f"fleet_coalesced:{leader.name}",
+                    )
+                )
+            merged.append(_Batch(final_keys[leader_index], leader_index, tuple(records)))
+        merged.sort(key=lambda batch: (batch.key, batch.member))
+        for batch in merged:
+            for record in batch.records:
+                _put(self.scores, record)
+
+        # The cache counters a single-queue run would show: every member
+        # looked up once at admission, clean leaders stored once.
+        if self.use_cache:
+            warm = sum(1 for member in results.values() if member.cache_hit)
+            self.cache.hits += warm
+            self.cache.misses += len(results) - warm
+            self.cache.stores += sum(
+                1
+                for batch in merged
+                for record in batch.records
+                if record.key.metric == MODEL_CACHE_METRIC
+            )
+
+        result = FleetResult(
+            members=[results[index] for index in range(len(self.members))],
+            makespan_ms=max(member.finished_ms for member in results.values()),
+            max_in_flight=None,
+        )
+        self._record_run(result)
+        return result, dropped, merged
 
 
 __all__ = [

@@ -335,25 +335,9 @@ def _run_fleet(args, out) -> int:
     if args.fleet < 1:
         print(f"--fleet must be positive, got {args.fleet}", file=out)
         return 2
-    if args.shards is not None:
-        if args.shards < 1:
-            print(f"--shards must be positive, got {args.shards}", file=out)
-            return 2
-        conflicts = []
-        if args.max_in_flight is not None:
-            conflicts.append("--max-in-flight")
-        if args.sanitize or args.sanitize_fixture:
-            conflicts.append("--sanitize")
-        if args.trace:
-            conflicts.append("--trace")
-        if conflicts:
-            print(
-                f"--shards cannot be combined with {', '.join(conflicts)}: "
-                "the sharded engine has no admission bound, sanitizer, or "
-                "tracer (see repro.core.shard)",
-                file=out,
-            )
-            return 2
+    if args.shards is not None and args.shards < 1:
+        print(f"--shards must be positive, got {args.shards}", file=out)
+        return 2
     if args.fleet_profiles:
         names = [name.strip() for name in args.fleet_profiles.split(",") if name.strip()]
     else:
@@ -389,25 +373,15 @@ def _run_fleet(args, out) -> int:
         from repro.analysis.racecheck import RaceSanitizer
 
         sanitizer = RaceSanitizer()
-    shard_stats = None
+    engine_class = FleetInferenceEngine
+    sharding = {}
     if args.shards is not None:
         from repro.core.shard import ShardedFleetEngine
 
-        engine = ShardedFleetEngine(
-            members,
-            seed=args.seed,
-            shards=args.shards,
-            partition=args.partition,
-            use_cache=not args.no_fleet_cache,
-            fault_injector=fault_injector,
-            retry_policy=retry_policy,
-            size_probe_max_rules=args.max_rules,
-            latency_batch_sizes=(100, 400, 900),
-        )
-        result = engine.infer_fleet(include_policy=args.policy)
-        shard_stats = engine.shard_stats
-    else:
-        engine = FleetInferenceEngine(
+        engine_class = ShardedFleetEngine
+        sharding = {"shards": args.shards, "partition": args.partition}
+    try:
+        engine = engine_class(
             members,
             seed=args.seed,
             max_in_flight=args.max_in_flight,
@@ -419,8 +393,13 @@ def _run_fleet(args, out) -> int:
             size_probe_max_rules=args.max_rules,
             latency_batch_sizes=(100, 400, 900),
             sanitizer=sanitizer,
+            **sharding,
         )
-        result = engine.infer_fleet(include_policy=args.policy)
+    except ValueError as exc:
+        print(exc, file=out)
+        return 2
+    result = engine.infer_fleet(include_policy=args.policy)
+    shard_stats = engine.shard_stats if args.shards is not None else None
     races = sanitizer.check() if sanitizer is not None else None
     if args.json:
         if races is not None:
@@ -506,6 +485,18 @@ def _run_schedule(args, out) -> int:
     from repro.netem.scenarios import LinkFailureScenario, TrafficEngineeringScenario
     from repro.netem.topology import triangle_topology
     from repro.sim.rng import SeededRng
+
+    # An empty update schedules nothing, so there is no baseline makespan
+    # to compare the arms against.
+    flag, count = (
+        ("--flows", args.flows) if args.scenario == "lf" else ("--requests", args.requests)
+    )
+    if count < 1:
+        print(
+            f"{flag} must be positive for scenario {args.scenario}, got {count}",
+            file=out,
+        )
+        return 2
 
     def build_network():
         network = EmulatedNetwork(

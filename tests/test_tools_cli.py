@@ -465,3 +465,55 @@ def test_infer_shards_with_fault_scenario_matches_legacy():
     _, legacy_text = _fleet_json(base)
     _, sharded_text = _fleet_json(base + ["--shards", "2"])
     assert sharded_text == legacy_text
+
+
+def test_infer_one_shard_with_admission_bound_matches_unsharded():
+    base = _fleet_args("--max-in-flight", "2", "--json")
+    _, unsharded_text = _fleet_json(base)
+    _, one_shard_text = _fleet_json(base + ["--shards", "1"])
+    assert one_shard_text == unsharded_text
+    assert '"max_in_flight": 2' in one_shard_text
+
+
+def test_infer_one_shard_trace_has_the_unsharded_span_names(tmp_path):
+    import json
+
+    def fleet_names(base, extra):
+        out = io.StringIO()
+        assert main(_fleet_args("--trace", base, *extra), out=out) == 0
+        events = [json.loads(line) for line in open(base + ".jsonl")]
+        return {e["name"] for e in events if e["name"].startswith("fleet.")}
+
+    unsharded = fleet_names(str(tmp_path / "unsharded"), [])
+    one_shard = fleet_names(str(tmp_path / "one-shard"), ["--shards", "1"])
+    assert one_shard == unsharded
+    assert {"fleet.infer", "fleet.stage", "fleet.member_finish"} <= one_shard
+
+
+def test_infer_one_shard_sanitize_runs_the_race_check():
+    out = io.StringIO()
+    assert main(_fleet_args("--sanitize", "--shards", "1"), out=out) == 0
+    assert "race check:" in out.getvalue()
+
+
+def test_infer_many_shards_sanitize_exits_2_without_traceback():
+    out = io.StringIO()
+    assert main(_fleet_args("--sanitize", "--shards", "2"), out=out) == 2
+    text = out.getvalue()
+    assert "--shards cannot be combined with sanitizer" in text
+    assert "Traceback" not in text
+
+
+def test_infer_rejects_nonpositive_max_in_flight():
+    out = io.StringIO()
+    assert main(_fleet_args("--max-in-flight", "0"), out=out) == 2
+    assert "max_in_flight must be positive, got 0" in out.getvalue()
+
+
+def test_schedule_rejects_an_empty_update():
+    out = io.StringIO()
+    assert main(["schedule", "--scenario", "lf", "--flows", "0"], out=out) == 2
+    assert "--flows must be positive for scenario lf, got 0" in out.getvalue()
+    out = io.StringIO()
+    assert main(["schedule", "--scenario", "te1", "--requests", "0"], out=out) == 2
+    assert "--requests must be positive" in out.getvalue()
