@@ -12,7 +12,7 @@ addition cost depends on priority order -- the gap Tango exploits
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.requests import RequestDag
 from repro.core.scheduler import (
@@ -20,29 +20,22 @@ from repro.core.scheduler import (
     ScheduleResult,
     _count_deadline_misses,
 )
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
-from repro.obs.trace import NULL_TRACER, Tracer
 
 
 class DionysusScheduler:
     """Critical-path list scheduler over the request DAG.
 
     Args:
-        executor: network executor bound to the target switches.
-        tracer: telemetry tracer; per-round spans are tagged
-            ``policy="critical_path"`` (Dionysus has no pattern oracle).
-        metrics: metrics registry for round/request counters.
+        executor: network executor bound to the target switches; its
+            observer's tracer gets per-round spans tagged
+            ``policy="critical_path"`` (Dionysus has no pattern oracle)
+            and its metrics registry the round/request counters.
     """
 
-    def __init__(
-        self,
-        executor: NetworkExecutor,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, executor: NetworkExecutor) -> None:
         self.executor = executor
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        self.tracer = executor.observer.tracer
+        self.metrics = executor.observer.metrics
         self._m_batches = self.metrics.counter(
             "scheduler.batches", scheduler=type(self).__name__
         )

@@ -22,8 +22,7 @@ from repro.core.scheduler import (
     ScheduleResult,
 )
 from repro.core.scores import TangoScoreDatabase
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.openflow.channel import ControlChannel
 from repro.switches.base import SimulatedSwitch
 from repro.switches.profiles import SwitchProfile
@@ -34,9 +33,9 @@ class Tango:
 
     Args:
         seed: base seed for all probing randomness.
-        tracer: telemetry tracer threaded through probing engines,
-            schedulers, and executors built by this controller.
-        metrics: metrics registry threaded the same way.
+        observer: instruments attached to every inference engine and
+            executor this controller builds (schedulers read the
+            executor's).
 
     Example:
         >>> from repro.switches import SWITCH_2
@@ -47,15 +46,9 @@ class Tango:
         True
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, seed: int = 0, observer: Observer = NULL_OBSERVER) -> None:
         self.seed = seed
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        self.observer = observer
         self.scores = TangoScoreDatabase()
         self.patterns = TangoPatternDatabase()
         self._profiles: Dict[str, SwitchProfile] = {}
@@ -120,8 +113,7 @@ class Tango:
             profile,
             scores=self.scores,
             seed=self.seed + hash(name) % 1000,
-            tracer=self.tracer,
-            metrics=self.metrics,
+            observer=self.observer,
             **probe_kwargs,
         )
         model = engine.infer(include_policy=include_policy)
@@ -133,9 +125,7 @@ class Tango:
 
     # -- scheduling -----------------------------------------------------------------
     def _executor(self) -> NetworkExecutor:
-        return NetworkExecutor(
-            self._channels, metrics=self.metrics, tracer=self.tracer
-        )
+        return NetworkExecutor(self._channels, observer=self.observer)
 
     def _patterns_for(self, dag: RequestDag) -> List[RewritePattern]:
         """Measured per-switch patterns when available, else defaults."""
@@ -161,19 +151,14 @@ class Tango:
         """
         executor = self._executor()
         patterns = self._patterns_for(dag)
-        telemetry = {"tracer": self.tracer, "metrics": self.metrics}
         if variant == "basic":
-            return BasicTangoScheduler(
-                executor, patterns=patterns, strict=strict, **telemetry
-            )
+            return BasicTangoScheduler(executor, patterns=patterns, strict=strict)
         estimate = self._duration_estimator(dag)
         if variant == "prefix":
-            return PrefixTangoScheduler(
-                executor, estimate, patterns=patterns, strict=strict, **telemetry
-            )
+            return PrefixTangoScheduler(executor, estimate, patterns=patterns, strict=strict)
         if variant == "concurrent":
             return ConcurrentTangoScheduler(
-                executor, estimate, patterns=patterns, strict=strict, **telemetry
+                executor, estimate, patterns=patterns, strict=strict
             )
         raise ValueError(f"unknown scheduler variant {variant!r}")
 

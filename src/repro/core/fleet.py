@@ -51,6 +51,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.inference import InferredSwitchModel, SwitchInferenceEngine
 from repro.core.online_probing import DriftDetector, DriftFinding
 from repro.core.scores import TangoScoreDatabase
+from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.sim.events import Simulator
 from repro.switches.profiles import SwitchProfile
 
@@ -189,15 +190,15 @@ class ModelCache:
 
     Args:
         scores: the score database that backs the cache.
-        metrics: metrics registry for hit/miss/invalidation counters
-            (defaults to the disabled registry).
+        observer: its metrics registry gets the hit/miss/invalidation
+            counters.
     """
 
-    def __init__(self, scores: TangoScoreDatabase, metrics=None) -> None:
-        from repro.obs.metrics import NULL_METRICS
-
+    def __init__(
+        self, scores: TangoScoreDatabase, observer: Observer = NULL_OBSERVER
+    ) -> None:
         self.scores = scores
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        self.metrics = observer.metrics
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -442,20 +443,21 @@ class FleetInferenceEngine:
         use_cache: consult/populate the fingerprint model cache.
         drift_detector: detector used by :meth:`reprobe_member`
             (defaults to a fresh :class:`DriftDetector`).
-        tracer / metrics: telemetry, threaded through every member
-            engine; fleet spans read the shared fleet clock.
         fault_injector / retry_policy: forwarded to every member engine
             (fault decision streams are per switch *name*, so members
             fault independently; retry holds play out on each member's
             local probe clocks and lengthen only that member's stages).
-        sanitizer: optional
-            :class:`~repro.analysis.racecheck.RaceSanitizer`.  When set,
+        observer: instruments.  The tracer and metrics registry are
+            threaded through every member engine (fleet spans read the
+            shared fleet clock); the telemetry collector samples on the
+            fleet's event queue.  With a
+            :class:`~repro.analysis.racecheck.RaceSanitizer` attached,
             the score database, metrics registry, and model cache are
             wrapped in access-logging proxies, the fleet simulator
             records event provenance, and every access is attributed to
             the member on whose behalf it ran -- feeding the TNG040
-            tie-break race check.  ``None`` (the default) leaves the run
-            byte-identical to an unsanitized one.
+            tie-break race check.  The default :data:`NULL_OBSERVER`
+            leaves the run byte-identical to an uninstrumented one.
         remaining keyword knobs: forwarded to every member's
             :class:`SwitchInferenceEngine`.
     """
@@ -468,21 +470,14 @@ class FleetInferenceEngine:
         max_in_flight: Optional[int] = None,
         use_cache: bool = True,
         drift_detector: Optional[DriftDetector] = None,
-        tracer=None,
-        metrics=None,
         fault_injector=None,
         retry_policy=None,
         size_probe_max_rules: int = 8192,
         size_accuracy_target: float = 0.02,
         latency_batch_sizes: Tuple[int, ...] = (100, 400, 900, 1600),
         policy_cache_size: Optional[int] = None,
-        sanitizer=None,
-        telemetry=None,
+        observer: Observer = NULL_OBSERVER,
     ) -> None:
-        from repro.obs.metrics import NULL_METRICS
-        from repro.obs.telemetry import NULL_TELEMETRY
-        from repro.obs.trace import NULL_TRACER
-
         resolved: List[FleetMember] = []
         for item in members:
             if isinstance(item, FleetMember):
@@ -496,6 +491,10 @@ class FleetInferenceEngine:
             raise ValueError(f"duplicate fleet member names: {sorted(names)}")
         if max_in_flight is not None and max_in_flight < 1:
             raise ValueError(f"max_in_flight must be positive, got {max_in_flight}")
+        if size_probe_max_rules < 1:
+            raise ValueError(
+                f"size_probe_max_rules must be positive, got {size_probe_max_rules}"
+            )
         self.members = resolved
         self.scores = scores if scores is not None else TangoScoreDatabase()
         self.seed = seed
@@ -504,12 +503,13 @@ class FleetInferenceEngine:
         self.drift_detector = (
             drift_detector if drift_detector is not None else DriftDetector()
         )
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.observer = observer
+        self.tracer = observer.tracer
+        self.metrics = observer.metrics
+        self.telemetry = observer.telemetry
         self.fault_injector = fault_injector
         self.retry_policy = retry_policy
-        self.sanitizer = sanitizer
+        self.sanitizer = sanitizer = observer.sanitizer
         if sanitizer is not None:
             # Wrap shared state *before* anything captures a handle, so
             # member engines and the model cache all go through the
@@ -522,7 +522,10 @@ class FleetInferenceEngine:
             "latency_batch_sizes": tuple(latency_batch_sizes),
             "policy_cache_size": policy_cache_size,
         }
-        self.cache = ModelCache(self.scores, metrics=self.metrics)
+        #: What member engines and the model cache see: the tracer and
+        #: the (possibly sanitizer-wrapped) metrics registry.
+        self._member_observer = Observer(tracer=self.tracer, metrics=self.metrics)
+        self.cache = ModelCache(self.scores, observer=self._member_observer)
         if sanitizer is not None:
             self.cache = sanitizer.wrap_cache(self.cache)
         #: Events the last :meth:`infer_fleet` run executed.
@@ -551,10 +554,9 @@ class FleetInferenceEngine:
             member.named_profile(),
             scores=self.scores,
             seed=self._member_seed(index),
-            tracer=self.tracer,
-            metrics=self.metrics,
             fault_injector=self.fault_injector,
             retry_policy=self.retry_policy,
+            observer=self._member_observer,
             **self.engine_knobs,
         )
 

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.faults.retry import RetryGiveUpError, RetryPolicy, TRANSIENT_FAULTS
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.openflow.channel import ChannelRecord, ControlChannel
 from repro.openflow.match import IpPrefix, Match, MatchKind, PacketFields
 from repro.openflow.messages import FlowMod, FlowModCommand, PacketOut
@@ -71,9 +70,9 @@ class ProbingEngine:
         scores: shared Tango score database.
         rng: randomness for sampling experiments.
         match_kind: width class used for generated probe rules.
-        tracer: telemetry tracer; spans/events are timestamped from this
-            engine's virtual clock (defaults to the disabled tracer).
-        metrics: metrics registry (defaults to the disabled registry).
+        observer: instruments; the tracer's spans/events are timestamped
+            from this engine's virtual clock, and the metrics registry
+            counts packets, flow-mods, retries and timeouts.
         retry_policy: when set, flow_mods hit by transient injected
             faults (:mod:`repro.faults`) are retried with deterministic
             exponential backoff on the virtual clock; exhausted retries
@@ -88,9 +87,8 @@ class ProbingEngine:
         rng: Optional[SeededRng] = None,
         match_kind: MatchKind = MatchKind.L3,
         address_base: int = 0x0A00_0000,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
         retry_policy: Optional[RetryPolicy] = None,
+        observer: Observer = NULL_OBSERVER,
     ) -> None:
         self.channel = channel
         self.scores = scores if scores is not None else TangoScoreDatabase()
@@ -108,8 +106,8 @@ class ProbingEngine:
         self.installs_completed = 0
         self.fault_retries = 0
         self.fault_giveups = 0
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        self.tracer = observer.tracer
+        self.metrics = observer.metrics
         self.clock = lambda: self.channel.clock.now_ms
         # Handles cached once so the per-packet cost with telemetry off
         # is a single no-op method call.

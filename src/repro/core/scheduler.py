@@ -40,15 +40,15 @@ fault plan, seed) tuple replays byte-for-byte.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.patterns import RewritePattern, TangoPatternDatabase
 from repro.core.planner import TailCostPlanner
 from repro.core.requests import ReadySimulation, RequestDag, SwitchRequest
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
-from repro.obs.telemetry import NULL_TELEMETRY, TelemetryCollector
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.openflow.channel import ControlChannel
 from repro.openflow.errors import TransientFaultError
 from repro.openflow.messages import FlowModCommand
@@ -98,16 +98,19 @@ class NetworkExecutor:
     clocks to a common epoch when created (or on :meth:`reset_epoch`), so
     finish times are comparable across switches and dependent requests on
     different switches serialise correctly.
+
+    The executor is where a schedule's instruments attach: ``observer``
+    (:class:`~repro.obs.observer.Observer`) carries the tracer, metrics
+    registry and telemetry collector, and every scheduler built on this
+    executor reads them from here.
     """
 
     def __init__(
         self,
         channels: Dict[str, ControlChannel],
-        metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
         trace_requests: bool = False,
         fault_injector: Optional["FaultInjector"] = None,
-        telemetry: Optional[TelemetryCollector] = None,
+        observer: Observer = NULL_OBSERVER,
     ) -> None:
         if not channels:
             raise ValueError("need at least one switch channel")
@@ -116,9 +119,10 @@ class NetworkExecutor:
             channels = fault_injector.wrap_channels(channels)
         self.channels = dict(channels)
         self.epoch_ms = 0.0
-        self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.observer = observer
+        self.metrics = observer.metrics
+        self.tracer = observer.tracer
+        self.telemetry = observer.telemetry
         self.trace_requests = trace_requests
         self._m_issued = {
             command: self.metrics.counter(
@@ -196,9 +200,7 @@ class _OrderingOracle:
     _CACHE_LIMIT = 4096
 
     def __init__(
-        self,
-        patterns: Sequence[RewritePattern],
-        metrics: Optional[MetricsRegistry] = None,
+        self, patterns: Sequence[RewritePattern], registry: MetricsRegistry
     ) -> None:
         if not patterns:
             raise ValueError("need at least one rewrite pattern")
@@ -206,7 +208,6 @@ class _OrderingOracle:
         self._cache: Dict[tuple, Tuple[RewritePattern, Tuple[int, ...]]] = {}
         self.cache_hits = 0
         self.cache_misses = 0
-        registry = metrics if metrics is not None else NULL_METRICS
         self._m_calls = registry.counter("scheduler.oracle_calls")
         self._m_scored = registry.counter("scheduler.oracle_requests_scored")
 
@@ -253,13 +254,11 @@ class BasicTangoScheduler:
         patterns: rewrite patterns to score (defaults to the pattern
             database's registered set).
         pattern_db: optional shared pattern database.
-        tracer: telemetry tracer; per-batch spans are timestamped from
-            the executor's virtual-time frontier (defaults disabled).
-        metrics: metrics registry for batch/request/oracle counters
-            (defaults disabled).
-        telemetry: continuous-telemetry collector; batch spans feed its
-            ``scheduler.batch_ms`` stream (defaults to the executor's
-            collector, so attaching once at the executor covers both).
+
+    Instruments come from ``executor.observer``: per-batch spans are
+    timestamped from the executor's virtual-time frontier, the metrics
+    registry counts batches, requests and oracle work, and the
+    telemetry collector's ``scheduler.batch_ms`` stream gets every batch.
     """
 
     def __init__(
@@ -268,20 +267,16 @@ class BasicTangoScheduler:
         patterns: Optional[Sequence[RewritePattern]] = None,
         pattern_db: Optional[TangoPatternDatabase] = None,
         strict: bool = False,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        telemetry: Optional[TelemetryCollector] = None,
     ) -> None:
         self.executor = executor
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.telemetry = telemetry if telemetry is not None else executor.telemetry
-        self._t_batch_pattern = ""
-        self._t_batch_start_ms = 0.0
+        observer = executor.observer
+        self.tracer = observer.tracer
+        self.metrics = observer.metrics
+        self.telemetry = observer.telemetry
         if patterns is None:
             db = pattern_db if pattern_db is not None else TangoPatternDatabase()
             patterns = db.rewrite_patterns
-        self.oracle = _OrderingOracle(patterns, metrics=self.metrics)
+        self.oracle = _OrderingOracle(patterns, self.metrics)
         self.strict = strict
         name = type(self).__name__
         self._m_batches = self.metrics.counter("scheduler.batches", scheduler=name)
@@ -307,46 +302,61 @@ class BasicTangoScheduler:
             per_switch[request.location] += estimate(request)
         return max(per_switch.values(), default=0.0)
 
-    def _open_batch_span(self, pattern_name: str, batch: Sequence[SwitchRequest], round_index: int):
-        """A per-batch span carrying the oracle's choice and estimates."""
-        span = self.tracer.span(
+    @contextmanager
+    def _batch(
+        self,
+        result: ScheduleResult,
+        pattern_name: str,
+        batch: Sequence[SwitchRequest],
+        **attrs: object,
+    ) -> Iterator[None]:
+        """One round's bookkeeping around the variant's issue loop.
+
+        Opens the per-batch span (the oracle's choice, the estimate, and
+        the variant's extra ``attrs``), then on exit closes it with the
+        actual duration and deadline misses, feeds the telemetry batch
+        stream, bumps the batch/request counters and ``result.rounds``.
+        """
+        tracer, telemetry = self.tracer, self.telemetry
+        span = tracer.span(
             "scheduler.batch",
             category="scheduler",
             clock=self.executor.now_ms,
             pattern=pattern_name,
             batch_size=len(batch),
-            round=round_index,
+            round=result.rounds,
         )
-        if self.tracer.enabled:
+        if tracer.enabled:
             estimated = self._batch_estimate_ms(batch)
             if estimated is not None:
                 span.set(estimated_ms=estimated)
-        if self.telemetry.enabled:
-            self._t_batch_pattern = pattern_name
-            self._t_batch_start_ms = self.executor.now_ms()
-        return span
-
-    def _close_batch_span(
-        self, span, batch_start_ms: float, records: Sequence[IssueRecord]
-    ) -> None:
-        if self.tracer.enabled or self.metrics.enabled or self.telemetry.enabled:
+            if attrs:
+                span.set(**attrs)
+        first = len(result.records)
+        start_ms = self.executor.now_ms() if tracer.enabled or telemetry.enabled else 0.0
+        yield
+        if tracer.enabled or self.metrics.enabled or telemetry.enabled:
+            records = result.records[first:]
             misses = _count_deadline_misses(records, self.executor.epoch_ms)
             self._m_misses.inc(misses)
-            if self.tracer.enabled:
+            if tracer.enabled:
                 span.set(
-                    actual_ms=self.executor.now_ms() - batch_start_ms,
+                    actual_ms=self.executor.now_ms() - start_ms,
                     deadline_misses=misses,
                 )
-            if self.telemetry.enabled:
-                self.telemetry.observe_batch(
+            if telemetry.enabled:
+                telemetry.observe_batch(
                     type(self).__name__,
-                    self._t_batch_pattern,
-                    self._t_batch_start_ms,
+                    pattern_name,
+                    start_ms,
                     self.executor.now_ms(),
                     len(records),
                     deadline_misses=misses,
                 )
         span.close()
+        self._m_batches.inc()
+        self._m_requests.inc(len(batch))
+        result.rounds += 1
 
     # -- static verification (strict mode) ------------------------------------
     def _strict_estimate(self) -> Optional[DurationEstimator]:
@@ -531,22 +541,14 @@ class BasicTangoScheduler:
                 raise RuntimeError("DAG not done but no independent requests")
             pattern, ordered = self.oracle.choose(independent)
             result.pattern_choices.append(pattern.name)
-            span = self._open_batch_span(pattern.name, ordered, result.rounds)
-            batch_start = len(result.records)
-            batch_start_ms = self.executor.now_ms() if self.tracer.enabled else 0.0
-            for request in ordered:
-                dep_finish = self._dep_finish(dag, request, finish_times)
-                record = self._issue_or_defer(
-                    dag, request, dep_finish, finish_times, result
-                )
-                if record is not None:
-                    makespan = max(makespan, record.finished_ms)
-            self._close_batch_span(
-                span, batch_start_ms, result.records[batch_start:]
-            )
-            self._m_batches.inc()
-            self._m_requests.inc(len(ordered))
-            result.rounds += 1
+            with self._batch(result, pattern.name, ordered):
+                for request in ordered:
+                    dep_finish = self._dep_finish(dag, request, finish_times)
+                    record = self._issue_or_defer(
+                        dag, request, dep_finish, finish_times, result
+                    )
+                    if record is not None:
+                        makespan = max(makespan, record.finished_ms)
         return self._finalize_schedule(result, makespan)
 
 
@@ -605,18 +607,9 @@ class PrefixTangoScheduler(BasicTangoScheduler):
         max_prefixes: int = 4,
         lookahead_depth: int = 2,
         strict: bool = False,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        telemetry: Optional[TelemetryCollector] = None,
     ) -> None:
         super().__init__(
-            executor,
-            patterns=patterns,
-            pattern_db=pattern_db,
-            strict=strict,
-            tracer=tracer,
-            metrics=metrics,
-            telemetry=telemetry,
+            executor, patterns=patterns, pattern_db=pattern_db, strict=strict
         )
         if lookahead_depth < 1:
             raise ValueError("lookahead_depth must be at least 1")
@@ -707,27 +700,23 @@ class PrefixTangoScheduler(BasicTangoScheduler):
             )
 
             result.pattern_choices.append(pattern.name)
-            span = self._open_batch_span(pattern.name, issue_now, result.rounds)
-            if self.tracer.enabled:
-                span.set(ready=planner.ready_count, cut=len(issue_now))
-            batch_start = len(result.records)
-            batch_start_ms = self.executor.now_ms() if self.tracer.enabled else 0.0
             issued: List[SwitchRequest] = []
-            for request in issue_now:
-                dep_finish = self._dep_finish(dag, request, finish_times)
-                record = self._issue_or_defer(
-                    dag, request, dep_finish, finish_times, result
-                )
-                if record is not None:
-                    issued.append(request)
-                    makespan = max(makespan, record.finished_ms)
-            self._close_batch_span(
-                span, batch_start_ms, result.records[batch_start:]
-            )
-            self._m_batches.inc()
-            self._m_requests.inc(len(issue_now))
+            with self._batch(
+                result,
+                pattern.name,
+                issue_now,
+                ready=planner.ready_count,
+                cut=len(issue_now),
+            ):
+                for request in issue_now:
+                    dep_finish = self._dep_finish(dag, request, finish_times)
+                    record = self._issue_or_defer(
+                        dag, request, dep_finish, finish_times, result
+                    )
+                    if record is not None:
+                        issued.append(request)
+                        makespan = max(makespan, record.finished_ms)
             planner.commit(r.request_id for r in issued)
-            result.rounds += 1
         return self._finalize_schedule(result, makespan)
 
 
@@ -749,18 +738,9 @@ class DeadlineAwareTangoScheduler(BasicTangoScheduler):
         patterns: Optional[Sequence[RewritePattern]] = None,
         pattern_db: Optional[TangoPatternDatabase] = None,
         strict: bool = False,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        telemetry: Optional[TelemetryCollector] = None,
     ) -> None:
         super().__init__(
-            executor,
-            patterns=patterns,
-            pattern_db=pattern_db,
-            strict=strict,
-            tracer=tracer,
-            metrics=metrics,
-            telemetry=telemetry,
+            executor, patterns=patterns, pattern_db=pattern_db, strict=strict
         )
         self.estimate = estimate
 
@@ -797,24 +777,14 @@ class DeadlineAwareTangoScheduler(BasicTangoScheduler):
             result.pattern_choices.append(pattern.name)
             elapsed_epoch = makespan - self.executor.epoch_ms
             urgent, relaxed = self._split_urgent(ordered, elapsed_epoch)
-            span = self._open_batch_span(pattern.name, ordered, result.rounds)
-            if self.tracer.enabled:
-                span.set(urgent=len(urgent))
-            batch_start = len(result.records)
-            batch_start_ms = self.executor.now_ms() if self.tracer.enabled else 0.0
-            for request in urgent + relaxed:
-                dep_finish = self._dep_finish(dag, request, finish_times)
-                record = self._issue_or_defer(
-                    dag, request, dep_finish, finish_times, result
-                )
-                if record is not None:
-                    makespan = max(makespan, record.finished_ms)
-            self._close_batch_span(
-                span, batch_start_ms, result.records[batch_start:]
-            )
-            self._m_batches.inc()
-            self._m_requests.inc(len(ordered))
-            result.rounds += 1
+            with self._batch(result, pattern.name, ordered, urgent=len(urgent)):
+                for request in urgent + relaxed:
+                    dep_finish = self._dep_finish(dag, request, finish_times)
+                    record = self._issue_or_defer(
+                        dag, request, dep_finish, finish_times, result
+                    )
+                    if record is not None:
+                        makespan = max(makespan, record.finished_ms)
         return self._finalize_schedule(result, makespan)
 
 
@@ -836,18 +806,9 @@ class ConcurrentTangoScheduler(BasicTangoScheduler):
         pattern_db: Optional[TangoPatternDatabase] = None,
         guard_ms: float = 5.0,
         strict: bool = False,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        telemetry: Optional[TelemetryCollector] = None,
     ) -> None:
         super().__init__(
-            executor,
-            patterns=patterns,
-            pattern_db=pattern_db,
-            strict=strict,
-            tracer=tracer,
-            metrics=metrics,
-            telemetry=telemetry,
+            executor, patterns=patterns, pattern_db=pattern_db, strict=strict
         )
         self.estimate = estimate
         self.guard_ms = guard_ms
@@ -869,36 +830,26 @@ class ConcurrentTangoScheduler(BasicTangoScheduler):
             result.pattern_choices.append(pattern.name)
             if not ordered:
                 raise RuntimeError("DAG not done but no independent requests")
-            span = self._open_batch_span(pattern.name, ordered, result.rounds)
-            if self.tracer.enabled:
-                span.set(guard_ms=self.guard_ms)
-            batch_start = len(result.records)
-            batch_start_ms = self.executor.now_ms() if self.tracer.enabled else 0.0
-            for request in ordered:
-                # Guard times are measured on the executor's timeline, so
-                # dependency-free requests anchor at the epoch -- not at
-                # absolute zero, which silently weakened the guard
-                # whenever the executor had already been used (epoch > 0).
-                # On a fault-deferred retry the anchor is *recomputed*
-                # from finish_times, so a dependency that completed in an
-                # earlier round still projects its guard onto the retry.
-                dep_finish = self._dep_finish(dag, request, finish_times)
-                own_estimate = self.estimate(request)
-                # Weak consistency: start early as long as the estimated
-                # finish trails every dependency's finish by the guard.
-                earliest_start = max(
-                    self.executor.switch_available_at(request.location),
-                    dep_finish + self.guard_ms - own_estimate,
-                )
-                record = self._issue_or_defer(
-                    dag, request, earliest_start, finish_times, result
-                )
-                if record is not None:
-                    makespan = max(makespan, record.finished_ms)
-            self._close_batch_span(
-                span, batch_start_ms, result.records[batch_start:]
-            )
-            self._m_batches.inc()
-            self._m_requests.inc(len(ordered))
-            result.rounds += 1
+            with self._batch(result, pattern.name, ordered, guard_ms=self.guard_ms):
+                for request in ordered:
+                    # Guard times are measured on the executor's timeline, so
+                    # dependency-free requests anchor at the epoch -- not at
+                    # absolute zero, which silently weakened the guard
+                    # whenever the executor had already been used (epoch > 0).
+                    # On a fault-deferred retry the anchor is *recomputed*
+                    # from finish_times, so a dependency that completed in an
+                    # earlier round still projects its guard onto the retry.
+                    dep_finish = self._dep_finish(dag, request, finish_times)
+                    own_estimate = self.estimate(request)
+                    # Weak consistency: start early as long as the estimated
+                    # finish trails every dependency's finish by the guard.
+                    earliest_start = max(
+                        self.executor.switch_available_at(request.location),
+                        dep_finish + self.guard_ms - own_estimate,
+                    )
+                    record = self._issue_or_defer(
+                        dag, request, earliest_start, finish_times, result
+                    )
+                    if record is not None:
+                        makespan = max(makespan, record.finished_ms)
         return self._finalize_schedule(result, makespan)

@@ -12,9 +12,10 @@ the identity, so that run *is* the ordinary engine, writing straight
 into the caller's database.
 
 **The merge protocol.**  A worker plugs a journal into the engine's
-sanitizer seam, which hands it what the race sanitizer gets: a
-simulator that records :class:`~repro.sim.events.ProvenanceRecorder`
-parent links, and the member each callback runs for.  The journal keeps
+sanitizer seam (``Observer(sanitizer=journal)``), which hands it what
+the race sanitizer gets: a simulator that records
+:class:`~repro.sim.events.ProvenanceRecorder` parent links, and the
+member each callback runs for.  The journal keeps
 every score-database put made inside an event, tagged with the event
 and that member.  An event's *scheduling chain* is the virtual times of
 its scheduling ancestors, root first, read off the parent links.  The
@@ -37,9 +38,9 @@ gains the global waiter set in member order -- the records a single
 queue would have written.
 
 **What sharding gives up.**  With more than one shard, admission is
-unbounded (every member admits at time zero) and no tracer, metrics,
-telemetry or sanitizer crosses the worker boundary, so ``max_in_flight``
-and those hooks raise :class:`ValueError`; run one shard to use them.
+unbounded (every member admits at time zero) and no observer crosses
+the worker boundary, so ``max_in_flight`` and a live observer raise
+:class:`ValueError`; run one shard to use them.
 Duplicate leaders on different shards each probe in full before the
 merge keeps one.  Everything crossing the worker boundary -- members,
 fault plans, retry policies, warm cache records, member results --
@@ -66,6 +67,7 @@ from repro.core.fleet import (
 from repro.core.placement import PARTITION_STRATEGIES, partition_names
 from repro.core.scores import ScoreKey, ScoreRecord, TangoScoreDatabase
 from repro.faults.injector import FaultInjector
+from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.switches.profiles import SwitchProfile
 
 #: Execution backends: ``inline`` runs every shard sequentially in this
@@ -236,7 +238,7 @@ def _infer_shard(task: _ShardTask) -> _ShardResult:
             FaultInjector(task.fault_plan) if task.fault_plan is not None else None
         ),
         retry_policy=task.retry_policy,
-        sanitizer=journal,
+        observer=Observer(sanitizer=journal),
         **task.engine_knobs,
     )
     result = engine.infer_fleet(include_policy=task.include_policy)
@@ -287,9 +289,8 @@ class ShardedFleetEngine(FleetInferenceEngine):
             model-cache entries in ``scores`` are shipped to every
             worker, and the merged run's records land back in it.
         shards: worker count requested (clamped to the fleet size).
-            With more than one, ``max_in_flight``, ``tracer``,
-            ``metrics``, ``telemetry`` and ``sanitizer`` raise
-            :class:`ValueError`.
+            With more than one, ``max_in_flight`` and a live
+            ``observer`` raise :class:`ValueError`.
         partition: ``round_robin`` or ``tier`` (see
             :func:`repro.core.placement.partition_names`).
         backend: ``inline`` or ``process``.
@@ -324,12 +325,9 @@ class ShardedFleetEngine(FleetInferenceEngine):
                 f"unknown shard backend {backend!r}; "
                 f"known: {sorted(SHARD_BACKENDS)}"
             )
-        # Null tracers/metrics/telemetry are disabled, so they count as absent.
-        attached = [
-            name
-            for name in ("max_in_flight", "sanitizer", "tracer", "metrics", "telemetry")
-            if options.get(name) is not None and getattr(options[name], "enabled", True)
-        ]
+        attached = options.get("observer", NULL_OBSERVER).live
+        if options.get("max_in_flight") is not None:
+            attached.insert(0, "max_in_flight")
         if shards > 1 and attached:
             raise ValueError(
                 f"--shards cannot be combined with {', '.join(attached)}: "

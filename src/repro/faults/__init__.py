@@ -6,16 +6,15 @@ per-switch stalls, and disconnect/reconnect windows; a
 :class:`FaultInjector` applies the plan to OpenFlow control channels
 using per-switch ``SeededRng`` child streams and the simulated clock,
 so faulted runs replay byte-for-byte and zero-fault plans are
-bit-identical to running without the injector
-(:func:`verify_noop_injection`).  :class:`RetryPolicy` gives probing a
-deterministic exponential-backoff retry loop over exactly the
+bit-identical to running without the injector (the ``faults`` arm of
+:func:`repro.perf.harness.verify_noop`).  :class:`RetryPolicy` gives
+probing a deterministic exponential-backoff retry loop over exactly the
 :class:`~repro.openflow.errors.TransientFaultError` family.
 """
 
 from repro.faults.injector import (
     FaultInjector,
     FaultyControlChannel,
-    verify_noop_injection,
 )
 from repro.faults.plan import DisconnectWindow, FaultPlan, StallWindow
 from repro.faults.retry import (
@@ -31,7 +30,6 @@ __all__ = [
     "DisconnectWindow",
     "FaultInjector",
     "FaultyControlChannel",
-    "verify_noop_injection",
     "RetryPolicy",
     "RetryGiveUpError",
     "DEFAULT_RETRY_POLICY",

@@ -12,6 +12,7 @@ from typing import Dict, List, Optional
 from repro.core.scheduler import NetworkExecutor
 from repro.netem.flows import NetworkFlow
 from repro.netem.topology import Topology
+from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.openflow.channel import ControlChannel
 from repro.switches.base import SimulatedSwitch
 from repro.switches.profiles import SwitchProfile
@@ -143,31 +144,27 @@ class EmulatedNetwork:
 
     def executor(
         self,
-        metrics=None,
-        tracer=None,
         trace_requests: bool = False,
         fault_injector=None,
-        telemetry=None,
+        observer: Observer = NULL_OBSERVER,
     ) -> NetworkExecutor:
         """A network executor over every switch in the topology.
 
-        Telemetry arguments are forwarded to
+        Arguments are forwarded to
         :class:`~repro.core.scheduler.NetworkExecutor` unchanged.  With a
         ``fault_injector`` (:class:`repro.faults.FaultInjector`), the
         executor sees fault-wrapped channels while the network's own
-        ``channels`` stay bare for untimed setup traffic.  A
-        ``telemetry`` collector additionally starts watching every
-        switch (and per-port flow counts) in this network.
+        ``channels`` stay bare for untimed setup traffic.  An observer
+        with a live telemetry collector additionally starts it watching
+        every switch (and per-port flow counts) in this network.
         """
-        if telemetry is not None and telemetry.enabled:
-            telemetry.watch_network(self)
+        if observer.telemetry.enabled:
+            observer.telemetry.watch_network(self)
         return NetworkExecutor(
             self.channels,
-            metrics=metrics,
-            tracer=tracer,
             trace_requests=trace_requests,
             fault_injector=fault_injector,
-            telemetry=telemetry,
+            observer=observer,
         )
 
     def reset_rules(self) -> None:

@@ -12,8 +12,10 @@ feeds over that stream (:mod:`repro.obs.slo`), surfaced by the
 ``tango-trace`` (:mod:`repro.obs.cli`) and ``tango-telemetry``
 (:mod:`repro.obs.telemetry_cli`) CLIs.
 
-All instrumented components default to the disabled null objects
-(:data:`NULL_TRACER`, :data:`NULL_METRICS`, :data:`NULL_TELEMETRY`), so
+Instrumented components take one :class:`Observer` bundling the tracer,
+metrics registry, collector and race sanitizer, and default to
+:data:`NULL_OBSERVER` (the disabled null objects :data:`NULL_TRACER`,
+:data:`NULL_METRICS`, :data:`NULL_TELEMETRY`, no sanitizer), so
 telemetry off means a single attribute check on the hot paths and zero
 recorded state.
 """
@@ -39,6 +41,7 @@ from repro.obs.metrics import (
     default_registry,
     scoped,
 )
+from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.obs.slo import (
     BurnWindow,
     DEFAULT_BURN_WINDOWS,
@@ -86,11 +89,13 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_METRICS",
+    "NULL_OBSERVER",
     "NULL_TELEMETRY",
     "NULL_TRACER",
     "NullMetricsRegistry",
     "NullTelemetryCollector",
     "NullTracer",
+    "Observer",
     "RATIO_BUCKETS",
     "SlidingWindow",
     "SloPolicy",

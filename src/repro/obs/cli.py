@@ -73,7 +73,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         events = read_jsonl(args.trace)
-    except OSError as error:
+    except (OSError, ValueError, KeyError, TypeError) as error:
         print(f"error: cannot read {args.trace}: {error}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,7 @@ Design rules, shared with the tracer and the metrics registry:
   switch table stacks, network flows, executor clocks -- and its push
   hooks (`observe_install`, `observe_batch`, ...) record into private
   buffers.  Nothing it does touches a clock, an RNG, a DAG, or a score
-  database, and ``verify_noop_instrumentation`` proves schedules, op
+  database, and ``repro.perf.harness.verify_noop`` proves schedules, op
   counts, and TangoDB contents are byte-identical with a collector
   attached versus detached.
 * **Null twin.**  Instrumented components default to
@@ -35,10 +35,9 @@ an optional deterministic 1-in-N sampling rate on updates.
 Usage::
 
     collector = TelemetryCollector(interval_ms=5.0)
-    collector.watch_network(network)
-    executor = network.executor(telemetry=collector)
-    scheduler = BasicTangoScheduler(executor, telemetry=collector)
-    scheduler.schedule(dag)
+    # The network's executor starts the collector watching every switch.
+    executor = network.executor(observer=Observer(telemetry=collector))
+    BasicTangoScheduler(executor).schedule(dag)
     write_telemetry_jsonl(collector.samples, "run.telemetry.jsonl")
 """
 

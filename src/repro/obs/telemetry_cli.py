@@ -85,7 +85,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     if args.command == "alerts":
         try:
             alerts = read_alerts_jsonl(args.stream)
-        except OSError as error:
+        except (OSError, ValueError, KeyError, TypeError) as error:
             print(f"error: cannot read {args.stream}: {error}", file=sys.stderr)
             return 1
         if args.kind is not None:
@@ -109,7 +109,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
 
     try:
         samples = read_telemetry_jsonl(args.stream)
-    except OSError as error:
+    except (OSError, ValueError, KeyError, TypeError) as error:
         print(f"error: cannot read {args.stream}: {error}", file=sys.stderr)
         return 1
 

@@ -101,8 +101,8 @@ class Span:
 
     __slots__ = ("_tracer", "_clock", "_event", "_closed")
 
-    def __init__(self, tracer: "Tracer", event: TraceEvent, clock: Optional[Clock]):
-        self._tracer = tracer
+    def __init__(self, owner: "Tracer", event: TraceEvent, clock: Optional[Clock]):
+        self._tracer = owner
         self._clock = clock
         self._event = event
         self._closed = False

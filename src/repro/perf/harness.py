@@ -63,14 +63,12 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.racecheck import RaceSanitizer
 from repro.core.scheduler import BasicTangoScheduler, PrefixTangoScheduler
-from repro.faults import (
-    DisconnectWindow,
-    FaultInjector,
-    FaultPlan,
-    verify_noop_injection,
-)
+from repro.faults import DisconnectWindow, FaultInjector, FaultPlan
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.observer import NULL_OBSERVER, Observer
+from repro.obs.trace import Tracer
 from repro.core.fleet import FleetInferenceEngine, build_fleet
 from repro.core.scores import TangoScoreDatabase
 from repro.core.shard import ShardedFleetEngine
@@ -160,7 +158,7 @@ def _bench_schedule(case: str, build_dag, n: int, with_reference: bool) -> Bench
     # compares against the uninstrumented baseline -- any instrumentation
     # cost that leaked into the hot path would trip the 1.5x threshold.
     registry = MetricsRegistry()
-    scheduler = BasicTangoScheduler(fast_executor(), metrics=registry)
+    scheduler = BasicTangoScheduler(fast_executor(observer=Observer(metrics=registry)))
     wall_ms, result = _timed(lambda: scheduler.schedule(dag))
     record = BenchRecord(case=case, n=n, wall_ms=wall_ms, ops=dag.ops.total())
     record.detail = {
@@ -237,10 +235,9 @@ def bench_prefix_lookahead(n: int, with_reference: bool = True) -> BenchRecord:
     dag.ops.clear()
     registry = MetricsRegistry()
     scheduler = PrefixTangoScheduler(
-        fast_executor("a", "b"),
+        fast_executor("a", "b", observer=Observer(metrics=registry)),
         estimate=_unlock_estimate,
         lookahead_depth=2,
-        metrics=registry,
     )
     wall_ms, result = _timed(lambda: scheduler.schedule(dag))
     record = BenchRecord(
@@ -285,7 +282,7 @@ def bench_faulted_schedule(n: int, with_reference: bool = True) -> BenchRecord:
     registry = MetricsRegistry()
     injector = FaultInjector(FAULTED_PLAN)
     scheduler = BasicTangoScheduler(
-        fast_executor(fault_injector=injector), metrics=registry
+        fast_executor(fault_injector=injector, observer=Observer(metrics=registry))
     )
     wall_ms, result = _timed(lambda: scheduler.schedule(dag))
     record = BenchRecord(
@@ -352,7 +349,7 @@ def bench_fleet_infer(
     engine = FleetInferenceEngine(
         build_fleet(fleet_bench_profiles(), size),
         seed=3,
-        metrics=registry,
+        observer=Observer(metrics=registry),
         **FLEET_BENCH_KNOBS,
     )
     wall_ms, result = _timed(lambda: engine.infer_fleet(include_policy=False))
@@ -389,7 +386,9 @@ def bench_serve_churn(n: int, with_reference: bool = True) -> BenchRecord:
     from repro.serve import ServeLoop
 
     registry = MetricsRegistry()
-    loop = ServeLoop(serve_churn_config(n), serve_bench_profile(), metrics=registry)
+    loop = ServeLoop(
+        serve_churn_config(n), serve_bench_profile(), observer=Observer(metrics=registry)
+    )
     wall_ms, result = _timed(loop.run)
     record = BenchRecord(case="serve_churn", n=n, wall_ms=wall_ms, ops=result.op_count)
     record.detail = {
@@ -572,20 +571,6 @@ def _fleet_signature(result) -> Tuple:
     ) + (result.makespan_ms,)
 
 
-def _noop_fleet_run(tracer, metrics, telemetry=None, scores=None):
-    engine = FleetInferenceEngine(
-        build_fleet(fleet_bench_profiles()[:2], 3),
-        scores=scores,
-        seed=9,
-        max_in_flight=2,
-        tracer=tracer,
-        metrics=metrics,
-        telemetry=telemetry,
-        **FLEET_BENCH_KNOBS,
-    )
-    return engine.infer_fleet(include_policy=False)
-
-
 def _db_signature(db) -> Tuple:
     """Byte-comparable digest of TangoDB contents, in insertion order."""
     return tuple(
@@ -594,155 +579,134 @@ def _db_signature(db) -> Tuple:
     )
 
 
-def _bench_collector():
-    """A collector configured the way the no-op check attaches it."""
-    from repro.obs.slo import SloPolicy, default_slo_targets
-    from repro.obs.telemetry import TelemetryCollector
+# -- the no-op check -----------------------------------------------------------
+# Each workload runs with the given observer and fault injector and
+# returns (identity, ops): everything a run decides, and its op count.
+def _noop_schedule(executor, scheduler, dag) -> Tuple[Tuple, int]:
+    result = scheduler.schedule(dag)
+    executor.observer.telemetry.finish(executor.now_ms())
+    identity = (_schedule_signature(result), result.fault_retries, _record_signature(result))
+    return identity, dag.ops.total()
 
-    collector = TelemetryCollector(interval_ms=5.0, window_ms=50.0)
-    collector.add_policy(SloPolicy(default_slo_targets()))
-    return collector
+
+def _noop_layered(n: int, observer: Observer, injector) -> Tuple[Tuple, int]:
+    dag = layered_dag(n)
+    dag.ops.clear()
+    executor = fast_executor(fault_injector=injector, observer=observer)
+    return _noop_schedule(executor, BasicTangoScheduler(executor), dag)
 
 
-def verify_noop_instrumentation(n: int = 1000) -> Dict[str, object]:
-    """Assert that attached telemetry never changes scheduling work.
+def _noop_prefix(n: int, observer: Observer, injector) -> Tuple[Tuple, int]:
+    dag = unlock_groups_dag(min(n, 240))
+    dag.ops.clear()
+    executor = fast_executor("a", "b", fault_injector=injector, observer=observer)
+    scheduler = PrefixTangoScheduler(executor, estimate=_unlock_estimate, lookahead_depth=2)
+    return _noop_schedule(executor, scheduler, dag)
 
-    Runs the layered case twice -- bare, then with a live tracer and
-    metrics registry -- and requires identical schedule signatures and
-    DAG op counts; does the same for the prefix scheduler's incremental
-    planner on the unlock workload (full per-record identity, since the
-    planner is the hot path this suite guards); then the same with a
-    small concurrent fleet inference run (identical models, member
-    timelines, and probe op counts).
 
-    A continuous :class:`~repro.obs.telemetry.TelemetryCollector` is
-    held to the same bar: attached to the layered schedule and the fleet
-    run it may not change schedule signatures, op counts, or TangoDB
-    contents, and two same-seed collector runs must serialize to
-    byte-identical telemetry JSONL.  Raises :class:`AssertionError` on
-    any divergence; returns the comparison payload for reporting.
+def _noop_fleet(n: int, observer: Observer, injector) -> Tuple[Tuple, int]:
+    del n  # the fleet is fixed: three members, two fingerprints
+    scores = TangoScoreDatabase()
+    engine = FleetInferenceEngine(
+        build_fleet(fleet_bench_profiles()[:2], 3),
+        scores=scores,
+        seed=9,
+        max_in_flight=2,
+        fault_injector=injector,
+        observer=observer,
+        **FLEET_BENCH_KNOBS,
+    )
+    result = engine.infer_fleet(include_policy=False)
+    identity = (
+        _fleet_signature(result),
+        json.dumps(result.summary(), sort_keys=True),
+        _db_signature(scores),
+    )
+    return identity, result.probe_ops
+
+
+#: The no-op check's workloads: the layered schedule, the prefix
+#: planner's unlock schedule, and a small concurrent fleet inference.
+NOOP_WORKLOADS: Dict[str, Callable[[int, Observer, Optional[FaultInjector]], Tuple[Tuple, int]]] = {
+    "layered": _noop_layered,
+    "prefix": _noop_prefix,
+    "fleet": _noop_fleet,
+}
+
+#: The no-op check's arms: name -> a fresh (observer, fault injector).
+NOOP_ARMS: Dict[str, Callable[[], Tuple[Observer, Optional[FaultInjector]]]] = {
+    "trace": lambda: (Observer(tracer=Tracer(), metrics=MetricsRegistry()), None),
+    "telemetry": lambda: (Observer.from_flags(telemetry=True), None),
+    "sanitize": lambda: (Observer(sanitizer=RaceSanitizer()), None),
+    "faults": lambda: (NULL_OBSERVER, FaultInjector(FaultPlan())),
+}
+
+
+def _live(observer: Observer, injector: Optional[FaultInjector]) -> int:
+    """How much the attached instruments saw: trace events, telemetry
+    samples, sanitizer accesses and fault-wrapped channels."""
+    sanitizer = observer.sanitizer
+    return (
+        len(observer.tracer)
+        + len(observer.telemetry.samples)
+        + (len(sanitizer.log) if sanitizer is not None else 0)
+        + (len(injector.channels) if injector is not None else 0)
+    )
+
+
+def verify_noop(arms: Sequence[str] = tuple(NOOP_ARMS), n: int = 1000) -> Dict[str, object]:
+    """Assert that attached instruments never change what a run decides.
+
+    Runs every workload of :data:`NOOP_WORKLOADS` bare, then once per
+    arm of :data:`NOOP_ARMS` (``trace``: a tracer and metrics registry;
+    ``telemetry``: the CLI's collector with its SLO policy and drift
+    feed; ``sanitize``: a race sanitizer; ``faults``: a zero-fault
+    ``FaultPlan()`` injector), and requires identical schedule
+    signatures, per-record timelines, op counts, fleet models, summary
+    and TangoDB records.  Each arm must also have been live -- trace
+    events, samples, sanitizer accesses or wrapped channels -- and must
+    inject no fault; an arm with a collector runs each workload twice
+    and the two telemetry streams must be byte-identical.
+
+    Raises :class:`AssertionError` on any divergence or dead arm;
+    returns, per arm, each workload's op count and live count.
     """
-    from repro.core.scores import TangoScoreDatabase
-    from repro.obs.telemetry import telemetry_jsonl_lines
-    from repro.obs.trace import Tracer
-
-    bare_dag = layered_dag(n)
-    bare_dag.ops.clear()
-    bare = BasicTangoScheduler(fast_executor()).schedule(bare_dag)
-
-    traced_dag = layered_dag(n)
-    traced_dag.ops.clear()
-    tracer = Tracer()
-    scheduler = BasicTangoScheduler(
-        fast_executor(), tracer=tracer, metrics=MetricsRegistry()
-    )
-    traced = scheduler.schedule(traced_dag)
-
-    prefix_n = min(n, 240)
-    prefix_bare_dag = unlock_groups_dag(prefix_n)
-    prefix_bare_dag.ops.clear()
-    prefix_bare = PrefixTangoScheduler(
-        fast_executor("a", "b"), estimate=_unlock_estimate, lookahead_depth=2
-    ).schedule(prefix_bare_dag)
-
-    prefix_traced_dag = unlock_groups_dag(prefix_n)
-    prefix_traced_dag.ops.clear()
-    prefix_tracer = Tracer()
-    prefix_traced = PrefixTangoScheduler(
-        fast_executor("a", "b"),
-        estimate=_unlock_estimate,
-        lookahead_depth=2,
-        tracer=prefix_tracer,
-        metrics=MetricsRegistry(),
-    ).schedule(prefix_traced_dag)
-
-    bare_fleet_db = TangoScoreDatabase()
-    bare_fleet = _noop_fleet_run(tracer=None, metrics=None, scores=bare_fleet_db)
-    fleet_tracer = Tracer()
-    traced_fleet = _noop_fleet_run(tracer=fleet_tracer, metrics=MetricsRegistry())
-
-    # Continuous flow telemetry: same run, collector attached.
-    tele_dag = layered_dag(n)
-    tele_dag.ops.clear()
-    tele_collector = _bench_collector()
-    tele_executor = fast_executor(telemetry=tele_collector)
-    tele = BasicTangoScheduler(tele_executor).schedule(tele_dag)
-    tele_collector.finish(tele_executor.now_ms())
-
-    # ... and again: same seed, same workload, byte-identical stream.
-    retele_dag = layered_dag(n)
-    retele_dag.ops.clear()
-    re_collector = _bench_collector()
-    re_executor = fast_executor(telemetry=re_collector)
-    BasicTangoScheduler(re_executor).schedule(retele_dag)
-    re_collector.finish(re_executor.now_ms())
-
-    fleet_collector = _bench_collector()
-    tele_fleet_db = TangoScoreDatabase()
-    tele_fleet = _noop_fleet_run(
-        tracer=None, metrics=None, telemetry=fleet_collector, scores=tele_fleet_db
-    )
-
-    payload: Dict[str, object] = {
-        "bare_ops": bare_dag.ops.total(),
-        "traced_ops": traced_dag.ops.total(),
-        "signatures_equal": _schedule_signature(bare) == _schedule_signature(traced),
-        "trace_events": len(tracer),
-        "prefix_bare_ops": prefix_bare_dag.ops.total(),
-        "prefix_traced_ops": prefix_traced_dag.ops.total(),
-        "prefix_signatures_equal": (
-            _schedule_signature(prefix_bare) == _schedule_signature(prefix_traced)
-            and _record_signature(prefix_bare) == _record_signature(prefix_traced)
-        ),
-        "prefix_trace_events": len(prefix_tracer),
-        "fleet_bare_ops": bare_fleet.probe_ops,
-        "fleet_traced_ops": traced_fleet.probe_ops,
-        "fleet_signatures_equal": (
-            _fleet_signature(bare_fleet) == _fleet_signature(traced_fleet)
-        ),
-        "fleet_trace_events": len(fleet_tracer),
-        "collector_ops": tele_dag.ops.total(),
-        "collector_signatures_equal": (
-            _schedule_signature(bare) == _schedule_signature(tele)
-        ),
-        "collector_samples": len(tele_collector.samples),
-        "collector_stream_identical": (
-            telemetry_jsonl_lines(tele_collector.samples)
-            == telemetry_jsonl_lines(re_collector.samples)
-        ),
-        "fleet_collector_samples": len(fleet_collector.samples),
-        "fleet_collector_signatures_equal": (
-            _fleet_signature(bare_fleet) == _fleet_signature(tele_fleet)
-        ),
-        "fleet_db_identical": (
-            _db_signature(bare_fleet_db) == _db_signature(tele_fleet_db)
-        ),
-    }
-    if payload["bare_ops"] != payload["traced_ops"] or not payload["signatures_equal"]:
-        raise AssertionError(f"telemetry changed scheduler work: {payload}")
-    if (
-        payload["prefix_bare_ops"] != payload["prefix_traced_ops"]
-        or not payload["prefix_signatures_equal"]
-    ):
-        raise AssertionError(f"telemetry changed prefix planner work: {payload}")
-    if (
-        payload["fleet_bare_ops"] != payload["fleet_traced_ops"]
-        or not payload["fleet_signatures_equal"]
-    ):
-        raise AssertionError(f"telemetry changed fleet inference work: {payload}")
-    if (
-        payload["bare_ops"] != payload["collector_ops"]
-        or not payload["collector_signatures_equal"]
-    ):
-        raise AssertionError(f"flow collector changed scheduler work: {payload}")
-    if not payload["collector_stream_identical"]:
-        raise AssertionError(
-            f"same-seed collector runs produced different streams: {payload}"
-        )
-    if not payload["fleet_collector_signatures_equal"]:
-        raise AssertionError(f"flow collector changed fleet inference: {payload}")
-    if not payload["fleet_db_identical"]:
-        raise AssertionError(f"flow collector changed TangoDB contents: {payload}")
+    unknown = sorted(set(arms) - set(NOOP_ARMS))
+    if unknown:
+        raise ValueError(f"unknown no-op arms {unknown}; known: {sorted(NOOP_ARMS)}")
+    bare = {name: run(n, NULL_OBSERVER, None) for name, run in NOOP_WORKLOADS.items()}
+    payload: Dict[str, object] = {}
+    for arm in arms:
+        report: Dict[str, object] = {}
+        live = findings = 0
+        for name, run in NOOP_WORKLOADS.items():
+            observer, injector = NOOP_ARMS[arm]()
+            identity, ops = run(n, observer, injector)
+            if (identity, ops) != bare[name]:
+                raise AssertionError(
+                    f"the {arm} arm changed the {name} workload "
+                    f"(ops {bare[name][1]} bare, {ops} attached)"
+                )
+            if injector is not None and any(injector.injection_counts().values()):
+                raise AssertionError(
+                    f"the {arm} arm injected faults: {injector.injection_counts()}"
+                )
+            if observer.sanitizer is not None:
+                findings += len(observer.sanitizer.check().findings)
+            if observer.telemetry.enabled:
+                again, again_injector = NOOP_ARMS[arm]()
+                run(n, again, again_injector)
+                if again.telemetry_lines() != observer.telemetry_lines():
+                    raise AssertionError(
+                        f"two same-seed {arm} runs of the {name} workload "
+                        "produced different telemetry streams"
+                    )
+            seen = _live(observer, injector)
+            live += seen
+            report[name] = {"bare_ops": bare[name][1], "ops": ops, "live": seen}
+        if not live:
+            raise AssertionError(f"the {arm} arm was never live: {report}")
+        payload[arm] = dict(report, live=live, findings=findings)
     return payload
 
 
@@ -768,12 +732,9 @@ def run_suite(
                 f"unknown bench cases {unknown}; known: {sorted(CASE_NAMES)}"
             )
         selected = [CASE_NAMES[name] for name in cases]
-    # Telemetry must be free: a tracer/metrics attach that altered the
-    # deterministic op counts would also poison the regression gate below.
-    verify_noop_instrumentation()
-    # So must a zero-fault injector: wrapping channels with an empty
-    # FaultPlan may not change a single schedule bit.
-    verify_noop_injection()
+    # Instruments must be free: an attach that altered the deterministic
+    # op counts would also poison the regression gate below.
+    verify_noop()
     records: List[BenchRecord] = []
     seen = set()
     for n in sizes:
@@ -836,14 +797,15 @@ def collect_suite_telemetry(n: int = 1000) -> Dict[str, object]:
     :class:`~repro.obs.telemetry.TelemetryCollector` attached and
     reports the collector's counter roll-up.  Like the ``wall_clock``
     block this is informational only: the regression gate never reads
-    it, and :func:`verify_noop_instrumentation` has already proven the
-    collector cannot change the gated op counts.
+    it, and :func:`verify_noop` has already proven the collector cannot
+    change the gated op counts.
     """
     from repro.obs.telemetry import summarize_telemetry
 
     dag = layered_dag(n)
-    collector = _bench_collector()
-    executor = fast_executor(telemetry=collector)
+    observer = Observer.from_flags(telemetry=True)
+    collector = observer.telemetry
+    executor = fast_executor(observer=observer)
     BasicTangoScheduler(executor).schedule(dag)
     collector.finish(executor.now_ms())
     summary = summarize_telemetry(collector.samples)
@@ -851,7 +813,7 @@ def collect_suite_telemetry(n: int = 1000) -> Dict[str, object]:
         "gated": False,
         "note": (
             "continuous-telemetry counters are informational only; "
-            "verify_noop_instrumentation proves the attached collector "
+            "verify_noop proves the attached collector "
             "never changes the gated op counts"
         ),
         "workload": f"layered_schedule:{n}",
@@ -866,15 +828,9 @@ def records_to_report(
     regressions: Sequence[Dict[str, object]],
     quick: bool,
     baseline_path: Optional[str],
-    telemetry: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
-    """The ``BENCH_scheduler.json`` document.
-
-    ``telemetry`` is the ungated continuous-telemetry block; when
-    ``None`` it is produced by :func:`collect_suite_telemetry`.
-    """
-    if telemetry is None:
-        telemetry = collect_suite_telemetry()
+    """The ``BENCH_scheduler.json`` document, with the ungated
+    continuous-telemetry block of :func:`collect_suite_telemetry`."""
     mismatched = [r.key for r in records if r.identical is False]
     wall_clock = {
         "gated": False,
@@ -905,7 +861,7 @@ def records_to_report(
         "baseline_path": baseline_path,
         "results": [asdict(record) for record in records],
         "wall_clock": wall_clock,
-        "telemetry": telemetry,
+        "telemetry": collect_suite_telemetry(),
         "regressions": list(regressions),
         "mismatched": mismatched,
         "ok": not regressions and not mismatched,

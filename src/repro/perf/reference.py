@@ -197,25 +197,17 @@ class ReferencePrefixTangoScheduler(PrefixTangoScheduler):
             issue_now = ordered[: self._resolve_cut(cut, len(ordered))]
 
             result.pattern_choices.append(pattern.name)
-            span = self._open_batch_span(pattern.name, issue_now, result.rounds)
-            if self.tracer.enabled:
-                span.set(ready=len(ordered), cut=len(issue_now))
-            batch_start = len(result.records)
-            batch_start_ms = self.executor.now_ms() if self.tracer.enabled else 0.0
             issued: List[SwitchRequest] = []
-            for request in issue_now:
-                dep_finish = self._dep_finish(dag, request, finish_times)
-                record = self._issue_or_defer(
-                    dag, request, dep_finish, finish_times, result
-                )
-                if record is not None:
-                    issued.append(request)
-                    makespan = max(makespan, record.finished_ms)
-            self._close_batch_span(
-                span, batch_start_ms, result.records[batch_start:]
-            )
-            self._m_batches.inc()
-            self._m_requests.inc(len(issue_now))
+            with self._batch(
+                result, pattern.name, issue_now, ready=len(ordered), cut=len(issue_now)
+            ):
+                for request in issue_now:
+                    dep_finish = self._dep_finish(dag, request, finish_times)
+                    record = self._issue_or_defer(
+                        dag, request, dep_finish, finish_times, result
+                    )
+                    if record is not None:
+                        issued.append(request)
+                        makespan = max(makespan, record.finished_ms)
             sim.commit(r.request_id for r in issued)
-            result.rounds += 1
         return self._finalize_schedule(result, makespan)

@@ -13,7 +13,8 @@ Examples::
     python -m repro.serve.cli --arrivals 5000 --verify-determinism
 
 Exit codes: 0 success, 1 race findings under ``--sanitize``, 2
-determinism divergence under ``--verify-determinism``.
+determinism divergence under ``--verify-determinism`` or an invalid
+option value.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.observer import Observer
 from repro.serve.loop import ServeConfig, ServeLoop, policy_from_model
 from repro.serve.stream import StreamConfig
 from repro.switches.profiles import VENDOR_PROFILES
@@ -129,30 +131,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_collector(args):
-    if not args.telemetry:
-        return None
-    from repro.obs.slo import DriftFeed, SloPolicy, default_slo_targets
-    from repro.obs.telemetry import TelemetryCollector
-
-    collector = TelemetryCollector(interval_ms=5.0, window_ms=50.0)
-    collector.add_policy(SloPolicy(default_slo_targets()))
-    collector.add_policy(DriftFeed())
-    return collector
-
-
-def _run_once(args, profile):
-    """One full serving run; returns (result, collector, races)."""
-    policy = None
-    capacity = args.capacity
-    if args.infer:
-        from repro.core.inference import SwitchInferenceEngine
-
-        model = SwitchInferenceEngine(profile, seed=args.seed).infer()
-        policy = policy_from_model(model)
-        if capacity is None:
-            capacity = model.fast_table_size
-    config = ServeConfig(
+def _config(args) -> ServeConfig:
+    """The run configuration; its validation errors are usage errors."""
+    return ServeConfig(
         stream=StreamConfig(
             arrivals=args.arrivals,
             tenants=args.tenants,
@@ -164,46 +145,40 @@ def _run_once(args, profile):
             seed=args.seed,
         ),
         batch_size=args.batch,
-        capacity=capacity,
+        capacity=args.capacity,
         admission_threshold=args.admission_threshold,
         idle_timeout_ms=args.idle_timeout,
         aggregate_min_rules=args.aggregate_min,
     )
-    sanitizer = None
-    if args.sanitize:
-        from repro.analysis.racecheck import RaceSanitizer
-
-        sanitizer = RaceSanitizer()
-    collector = _make_collector(args)
-    loop = ServeLoop(
-        config,
-        profile,
-        policy=policy,
-        collector=collector,
-        metrics=MetricsRegistry(),
-        sanitizer=sanitizer,
-    )
-    result = loop.run()
-    races = sanitizer.check() if sanitizer is not None else None
-    return result, collector, races
 
 
-def _signature(result, collector):
+def _run_once(args, profile, config: ServeConfig):
+    """One full serving run; returns (result, observer, races)."""
+    policy = None
+    if args.infer:
+        from repro.core.inference import SwitchInferenceEngine
+
+        model = SwitchInferenceEngine(profile, seed=args.seed).infer()
+        policy = policy_from_model(model)
+        if config.capacity is None:
+            config = replace(config, capacity=model.fast_table_size)
+    observer = Observer.from_flags(telemetry=args.telemetry, sanitize=args.sanitize)
+    result = ServeLoop(config, profile, policy=policy, observer=observer).run()
+    races = observer.sanitizer.check() if args.sanitize else None
+    return result, observer, races
+
+
+def _signature(result, observer):
     """Everything two same-seed runs must agree on, as comparable bytes."""
     parts = [
         json.dumps(result.to_dict(), sort_keys=True),
         repr(result.table_signature),
     ]
-    if collector is not None:
-        from repro.obs.slo import alerts_jsonl_lines
-        from repro.obs.telemetry import telemetry_jsonl_lines
-
-        parts.append("\n".join(telemetry_jsonl_lines(collector.samples)))
-        parts.append("\n".join(alerts_jsonl_lines(collector.alerts)))
+    parts.extend(observer.telemetry_lines())
     return "\x00".join(parts)
 
 
-def _render_text(args, result, collector, races, out) -> None:
+def _render_text(args, result, observer, races, out) -> None:
     cache = result.cache
     print(
         f"serve [{args.profile}] seed {args.seed}: "
@@ -246,7 +221,8 @@ def _render_text(args, result, collector, races, out) -> None:
         f"{result.maintenance_ticks} maintenance ticks)",
         file=out,
     )
-    if collector is not None:
+    collector = observer.telemetry
+    if collector.enabled:
         stats = collector.stats()
         print(
             f"  telemetry        : {stats['samples']} samples, "
@@ -263,14 +239,19 @@ def _render_text(args, result, collector, races, out) -> None:
 
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     profile = VENDOR_PROFILES[args.profile]
+    try:
+        config = _config(args)
+    except ValueError as error:
+        parser.error(str(error))
 
-    result, collector, races = _run_once(args, profile)
+    result, observer, races = _run_once(args, profile, config)
 
     if args.verify_determinism:
-        second, recollector, _ = _run_once(args, profile)
-        if _signature(result, collector) != _signature(second, recollector):
+        second, reobserver, _ = _run_once(args, profile, config)
+        if _signature(result, observer) != _signature(second, reobserver):
             print("determinism FAILED: two same-seed runs diverged", file=out)
             return 2
         if not args.json:
@@ -282,25 +263,15 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
 
     if args.json:
         payload = {"serve": result.to_dict()}
-        if collector is not None:
-            payload["telemetry"] = collector.stats()
+        if observer.telemetry.enabled:
+            payload["telemetry"] = observer.telemetry.stats()
         if races is not None:
             payload["races"] = races.summary()
         print(json.dumps(payload, indent=2), file=out)
     else:
-        _render_text(args, result, collector, races, out)
+        _render_text(args, result, observer, races, out)
 
-    if collector is not None:
-        from repro.obs.slo import write_alerts_jsonl
-        from repro.obs.telemetry import write_telemetry_jsonl
-
-        telemetry_path = f"{args.telemetry}.telemetry.jsonl"
-        alerts_path = f"{args.telemetry}.alerts.jsonl"
-        write_telemetry_jsonl(collector.samples, telemetry_path)
-        write_alerts_jsonl(collector.alerts, alerts_path)
-        if not args.json:
-            print(f"telemetry samples written to {telemetry_path}", file=out)
-            print(f"telemetry alerts written to {alerts_path}", file=out)
+    observer.write(args.telemetry, None if args.json else out)
 
     if args.report:
         from repro.tools.report import render_serve

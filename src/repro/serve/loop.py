@@ -17,7 +17,7 @@ Everything runs on one shared :class:`~repro.sim.clock.VirtualClock`:
   modelled flow-mod, so install latency back-pressures the loop — if
   installs outpace inter-arrival gaps the clock runs ahead of the
   stream and the sustained requests/sec reflects saturation;
-* the optional :class:`~repro.obs.telemetry.TelemetryCollector`
+* an observer's :class:`~repro.obs.telemetry.TelemetryCollector`
   samples table occupancy on its cadence and receives every install
   and every flow update (NetFlow-style), so the occupancy trajectory
   and SLO burn rates come out of the same pipeline every other tool
@@ -34,8 +34,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.requests import RequestDag
 from repro.core.scheduler import BasicTangoScheduler, NetworkExecutor
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import SlidingWindow, TelemetryCollector
+from repro.obs.observer import NULL_OBSERVER, Observer
+from repro.obs.telemetry import SlidingWindow
 from repro.openflow.channel import ControlChannel
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.serve.cache import CacheStats, RuleCacheManager
@@ -155,12 +155,12 @@ class ServeLoop:
         policy: eviction-ranking policy (pass the inferred Algorithm 2
             policy via :func:`policy_from_model`; defaults to the
             switch's ground-truth policy).
-        collector: optional telemetry collector; receives installs,
-            per-flow updates, and cadence occupancy samples.
-        metrics: optional metrics registry for executor/scheduler
-            counters and the ``serve.install_ms`` histogram.
-        sanitizer: optional race sanitizer; the maintenance simulator is
-            built through it so expiry events carry provenance.
+        observer: instruments.  Its telemetry collector receives
+            installs, per-flow updates, and cadence occupancy samples;
+            its metrics registry gets executor/scheduler counters and
+            the ``serve.install_ms`` histogram; with a race sanitizer
+            the maintenance simulator is built through it so expiry
+            events carry provenance.
     """
 
     def __init__(
@@ -168,14 +168,12 @@ class ServeLoop:
         config: ServeConfig,
         profile: SwitchProfile,
         policy: Optional[CachePolicy] = None,
-        collector: Optional[TelemetryCollector] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        sanitizer=None,
+        observer: Observer = NULL_OBSERVER,
     ) -> None:
         self.config = config
         self.clock = VirtualClock()
-        if sanitizer is not None:
-            self.sim = sanitizer.make_simulator(self.clock)
+        if observer.sanitizer is not None:
+            self.sim = observer.sanitizer.make_simulator(self.clock)
         else:
             self.sim = Simulator(self.clock)
         seed = config.stream.seed
@@ -185,12 +183,8 @@ class ServeLoop:
             clock=self.clock,
             rng=SeededRng(seed).child("serve:channel"),
         )
-        self.executor = NetworkExecutor(
-            {self.switch.name: channel},
-            metrics=metrics,
-            telemetry=collector,
-        )
-        self.scheduler = BasicTangoScheduler(self.executor, metrics=metrics)
+        self.executor = NetworkExecutor({self.switch.name: channel}, observer=observer)
+        self.scheduler = BasicTangoScheduler(self.executor)
         self.cache = RuleCacheManager(
             self.switch,
             policy=policy,
@@ -200,14 +194,16 @@ class ServeLoop:
             aggregate_prefix_len=config.aggregate_prefix_len,
             aggregate_min_rules=config.aggregate_min_rules,
         )
-        self.collector = collector
-        if collector is not None and collector.enabled:
-            collector.watch_switch(self.switch.name, self.switch)
+        self.telemetry = observer.telemetry
+        if self.telemetry.enabled:
+            self.telemetry.watch_switch(self.switch.name, self.switch)
         self._install_window = SlidingWindow(
             float("inf"), capacity=LATENCY_CAPACITY
         )
         self._install_hist = (
-            metrics.histogram("serve.install_ms") if metrics is not None else None
+            observer.metrics.histogram("serve.install_ms")
+            if observer.metrics.enabled
+            else None
         )
         self.stream = FlowRequestStream(config.stream)
         self._pending: List[FlowArrival] = []
@@ -303,8 +299,8 @@ class ServeLoop:
             self.sim.run(until_ms=max(arrival.t_ms, self.clock.now_ms))
             self.clock.advance_to(arrival.t_ms)
             now = self.clock.now_ms
-            if self.collector is not None and self.collector.enabled:
-                self.collector.observe_flow(
+            if self.telemetry.enabled:
+                self.telemetry.observe_flow(
                     self.switch.name,
                     f"t{arrival.tenant}:d{arrival.destination}",
                     now,
@@ -321,8 +317,8 @@ class ServeLoop:
         self._running = False
         self.sim.run()  # drain the last scheduled maintenance tick
         now = self.clock.now_ms
-        if self.collector is not None and self.collector.enabled:
-            self.collector.finish(now)
+        if self.telemetry.enabled:
+            self.telemetry.finish(now)
         return ServeResult(
             arrivals=arrivals,
             duration_ms=now,

@@ -68,6 +68,8 @@ class StreamConfig:
             )
         if self.rate_per_ms <= 0:
             raise ValueError("rate_per_ms must be positive")
+        if self.zipf_skew < 0 or self.tenant_skew < 0:
+            raise ValueError("zipf_skew and tenant_skew must be non-negative")
         if self.priority_levels < 1:
             raise ValueError("priority_levels must be at least 1")
         if self.churn_interval_ms < 0:

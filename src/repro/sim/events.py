@@ -54,8 +54,8 @@ class ProvenanceRecorder:
 
     Recording is off by default: plain simulators use
     :data:`NULL_PROVENANCE`, whose hooks do nothing, so un-sanitized
-    runs stay byte-identical (see
-    :func:`repro.analysis.racecheck.verify_noop_sanitize`).
+    runs stay byte-identical (see the ``sanitize`` arm of
+    :func:`repro.perf.harness.verify_noop`).
     """
 
     enabled = True

@@ -31,10 +31,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.core.inference import SwitchInferenceEngine
 from repro.core.placement import PARTITION_STRATEGIES
+from repro.obs.observer import Observer
 from repro.switches.profiles import VENDOR_PROFILES
 
 
@@ -269,34 +271,6 @@ def _print_report(model, out) -> None:
             )
 
 
-def _make_telemetry(args):
-    """(tracer, metrics) for ``--trace``, or the null pair without it."""
-    from repro.obs import NULL_METRICS, NULL_TRACER, MetricsRegistry, Tracer
-
-    if getattr(args, "trace", None):
-        return Tracer(), MetricsRegistry()
-    return NULL_TRACER, NULL_METRICS
-
-
-def _write_trace_outputs(args, tracer, metrics, out) -> None:
-    """Write the three ``--trace`` artifacts next to the given base path."""
-    if not getattr(args, "trace", None):
-        return
-    from repro.obs import prometheus_text, write_chrome_trace, write_jsonl
-
-    base = args.trace
-    events = tracer.events
-    write_jsonl(events, base + ".jsonl")
-    write_chrome_trace(events, base + ".chrome.json")
-    with open(base + ".prom", "w", encoding="utf-8") as handle:
-        handle.write(prometheus_text(metrics))
-    print(
-        f"trace: {len(events)} events -> {base}.jsonl, "
-        f"{base}.chrome.json, {base}.prom",
-        file=out,
-    )
-
-
 def _render_races_text(races, out) -> None:
     """Human-readable race-check section (traces included)."""
     print(
@@ -351,7 +325,6 @@ def _run_fleet(args, out) -> int:
         )
         return 2
     members = build_fleet([VENDOR_PROFILES[name] for name in names], args.fleet)
-    tracer, metrics = _make_telemetry(args)
     fault_injector = None
     retry_policy = None
     if args.fault_scenario:
@@ -368,11 +341,7 @@ def _run_fleet(args, out) -> int:
         plan = FAULT_SCENARIOS[args.fault_scenario].plan(args.seed)
         fault_injector = FaultInjector(plan)
         retry_policy = RetryPolicy()
-    sanitizer = None
-    if args.sanitize:
-        from repro.analysis.racecheck import RaceSanitizer
-
-        sanitizer = RaceSanitizer()
+    observer = Observer.from_flags(trace=args.trace, sanitize=args.sanitize)
     engine_class = FleetInferenceEngine
     sharding = {}
     if args.shards is not None:
@@ -386,13 +355,11 @@ def _run_fleet(args, out) -> int:
             seed=args.seed,
             max_in_flight=args.max_in_flight,
             use_cache=not args.no_fleet_cache,
-            tracer=tracer,
-            metrics=metrics,
             fault_injector=fault_injector,
             retry_policy=retry_policy,
             size_probe_max_rules=args.max_rules,
             latency_batch_sizes=(100, 400, 900),
-            sanitizer=sanitizer,
+            observer=observer,
             **sharding,
         )
     except ValueError as exc:
@@ -400,14 +367,14 @@ def _run_fleet(args, out) -> int:
         return 2
     result = engine.infer_fleet(include_policy=args.policy)
     shard_stats = engine.shard_stats if args.shards is not None else None
-    races = sanitizer.check() if sanitizer is not None else None
+    races = observer.sanitizer.check() if args.sanitize else None
     if args.json:
         if races is not None:
             payload = {"fleet": result.summary(), "races": races.summary()}
         else:
             payload = result.summary()
         print(json.dumps(payload, indent=2), file=out)
-        _write_trace_outputs(args, tracer, metrics, out)
+        observer.write(args.trace, out)
         return 1 if races is not None and races.findings else 0
     in_flight = (
         "unbounded" if result.max_in_flight is None else str(result.max_in_flight)
@@ -473,7 +440,7 @@ def _run_fleet(args, out) -> int:
             )
     if races is not None:
         _render_races_text(races, out)
-    _write_trace_outputs(args, tracer, metrics, out)
+    observer.write(args.trace, out)
     return 1 if races is not None and races.findings else 0
 
 
@@ -520,16 +487,13 @@ def _run_schedule(args, out) -> int:
         result.apply_preinstall(network)
         return result
 
-    tracer, metrics = _make_telemetry(args)
+    observer = Observer.from_flags(trace=args.trace)
     arms = {
-        "dionysus": lambda ex: DionysusScheduler(ex, tracer=tracer, metrics=metrics),
+        "dionysus": DionysusScheduler,
         "tango-type": lambda ex: BasicTangoScheduler(
-            ex,
-            patterns=[make_type_only_pattern()],
-            tracer=tracer,
-            metrics=metrics,
+            ex, patterns=[make_type_only_pattern()]
         ),
-        "tango": lambda ex: BasicTangoScheduler(ex, tracer=tracer, metrics=metrics),
+        "tango": BasicTangoScheduler,
     }
     print(
         f"scenario {args.scenario}: {args.flows} flows on the triangle testbed",
@@ -565,8 +529,8 @@ def _run_schedule(args, out) -> int:
                 f"{len(report.warnings())} warning(s)",
                 file=out,
             )
-        tracer.event("schedule.arm", category="cli", arm=label)
-        executor = network.executor(metrics=metrics, tracer=tracer)
+        observer.tracer.event("schedule.arm", category="cli", arm=label)
+        executor = network.executor(observer=observer)
         outcome = factory(executor).schedule(result.dag)
         seconds = outcome.makespan_ms / 1000.0
         if baseline is None:
@@ -575,13 +539,13 @@ def _run_schedule(args, out) -> int:
         else:
             note = f"({(baseline - seconds) / baseline * 100:+.0f}% vs Dionysus)"
         print(f"  {label:12s}: {seconds:7.2f} s {note}", file=out)
-    _write_trace_outputs(args, tracer, metrics, out)
+    observer.write(args.trace, out)
     return 0
 
 
 def _run_faults(args, out) -> int:
     from repro.core.scheduler import BasicTangoScheduler
-    from repro.faults import FaultInjector, RetryPolicy, verify_noop_injection
+    from repro.faults import FaultInjector, RetryPolicy
     from repro.netem.network import EmulatedNetwork
     from repro.netem.scenarios import FAULT_SCENARIOS, LinkFailureScenario
     from repro.netem.topology import triangle_topology
@@ -596,27 +560,17 @@ def _run_faults(args, out) -> int:
     )
 
     if args.verify_noop:
-        verify_noop_injection()
+        from repro.perf.harness import verify_noop
+
+        verify_noop(arms=("faults",))
         print(
             "noop check ok: zero-fault injector is bit-identical to no injector",
             file=out,
         )
 
-    tracer, metrics = _make_telemetry(args)
+    observer = Observer.from_flags(trace=args.trace, telemetry=args.telemetry)
 
-    def make_collector():
-        """A fresh collector + default SLO policy + drift feed, or None."""
-        if not getattr(args, "telemetry", None):
-            return None
-        from repro.obs.slo import DriftFeed, SloPolicy, default_slo_targets
-        from repro.obs.telemetry import TelemetryCollector
-
-        collector = TelemetryCollector(interval_ms=5.0, window_ms=50.0)
-        collector.add_policy(SloPolicy(default_slo_targets()))
-        collector.add_policy(DriftFeed())
-        return collector
-
-    def run_once():
+    def run_once(observer):
         # Faulted size inference (Algorithm 1 in degraded mode).
         probe_injector = FaultInjector(plan)
         engine = SwitchInferenceEngine(
@@ -624,8 +578,7 @@ def _run_faults(args, out) -> int:
             seed=args.seed,
             fault_injector=probe_injector,
             retry_policy=RetryPolicy(),
-            tracer=tracer,
-            metrics=metrics,
+            observer=observer,
         )
         size = engine.infer_sizes()
 
@@ -642,17 +595,9 @@ def _run_faults(args, out) -> int:
         network.preinstall_flow_rules()
         dag_result = LinkFailureScenario(network, ("s1", "s2")).build_dag()
         sched_injector = FaultInjector(plan)
-        collector = make_collector()
-        executor = network.executor(
-            metrics=metrics,
-            tracer=tracer,
-            fault_injector=sched_injector,
-            telemetry=collector,
-        )
-        scheduler = BasicTangoScheduler(executor, tracer=tracer, metrics=metrics)
-        outcome = scheduler.schedule(dag_result.dag)
-        if collector is not None:
-            collector.finish(executor.now_ms())
+        executor = network.executor(fault_injector=sched_injector, observer=observer)
+        outcome = BasicTangoScheduler(executor).schedule(dag_result.dag)
+        observer.telemetry.finish(executor.now_ms())
         timeline = tuple(
             (r.request.request_id, r.started_ms, r.finished_ms)
             for r in outcome.records
@@ -663,9 +608,9 @@ def _run_faults(args, out) -> int:
             outcome.rounds,
             timeline,
         )
-        return size, outcome, probe_injector, sched_injector, signature, collector
+        return size, outcome, probe_injector, sched_injector, signature
 
-    size, outcome, probe_injector, sched_injector, signature, collector = run_once()
+    size, outcome, probe_injector, sched_injector, signature = run_once(observer)
 
     sizes = ", ".join(
         "unbounded" if layer.estimated_size is None else str(layer.estimated_size)
@@ -702,7 +647,8 @@ def _run_faults(args, out) -> int:
         file=out,
     )
 
-    if collector is not None:
+    collector = observer.telemetry
+    if collector.enabled:
         stats = collector.stats()
         print("telemetry:", file=out)
         print(f"  samples          : {stats['samples']}", file=out)
@@ -718,52 +664,38 @@ def _run_faults(args, out) -> int:
             )
 
     if args.verify_determinism:
-        _, _, _, _, second, recollector = run_once()
+        # Same tracer (one trace covers both runs), fresh collector.
+        reobserver = replace(
+            observer, telemetry=Observer.from_flags(telemetry=args.telemetry).telemetry
+        )
+        *_, second = run_once(reobserver)
         if second != signature:
             print(
                 "determinism FAILED: two same-seed runs diverged", file=out
             )
             return 2
-        if collector is not None and recollector is not None:
-            from repro.obs.slo import alerts_jsonl_lines
-            from repro.obs.telemetry import telemetry_jsonl_lines
-
-            first_stream = telemetry_jsonl_lines(collector.samples)
-            second_stream = telemetry_jsonl_lines(recollector.samples)
-            first_alerts = alerts_jsonl_lines(collector.alerts)
-            second_alerts = alerts_jsonl_lines(recollector.alerts)
-            if first_stream != second_stream or first_alerts != second_alerts:
-                print(
-                    "determinism FAILED: two same-seed runs produced "
-                    "different telemetry streams",
-                    file=out,
-                )
-                return 2
+        if observer.telemetry_lines() != reobserver.telemetry_lines():
+            print(
+                "determinism FAILED: two same-seed runs produced "
+                "different telemetry streams",
+                file=out,
+            )
+            return 2
         print(
             "determinism ok: two same-seed runs produced identical "
             "size estimates and schedules"
-            + (" and telemetry streams" if collector is not None else ""),
+            + (" and telemetry streams" if collector.enabled else ""),
             file=out,
         )
 
-    if collector is not None:
-        from repro.obs.slo import write_alerts_jsonl
-        from repro.obs.telemetry import write_telemetry_jsonl
-
-        telemetry_path = f"{args.telemetry}.telemetry.jsonl"
-        alerts_path = f"{args.telemetry}.alerts.jsonl"
-        write_telemetry_jsonl(collector.samples, telemetry_path)
-        write_alerts_jsonl(collector.alerts, alerts_path)
-        print(f"telemetry samples written to {telemetry_path}", file=out)
-        print(f"telemetry alerts written to {alerts_path}", file=out)
-
-    _write_trace_outputs(args, tracer, metrics, out)
+    observer.write(args.trace, out, telemetry_base=args.telemetry)
     return 0
 
 
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
 
     if args.command == "schedule":
         return _run_schedule(args, out)
@@ -799,15 +731,17 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         return 2
 
     profile = VENDOR_PROFILES[args.profile]
-    tracer, metrics = _make_telemetry(args)
-    engine = SwitchInferenceEngine(
-        profile,
-        seed=args.seed,
-        size_probe_max_rules=args.max_rules,
-        latency_batch_sizes=(100, 400, 900),
-        tracer=tracer,
-        metrics=metrics,
-    )
+    observer = Observer.from_flags(trace=args.trace)
+    try:
+        engine = SwitchInferenceEngine(
+            profile,
+            seed=args.seed,
+            size_probe_max_rules=args.max_rules,
+            latency_batch_sizes=(100, 400, 900),
+            observer=observer,
+        )
+    except ValueError as error:
+        parser.error(str(error))
     model = engine.infer(include_policy=args.policy)
     if args.json:
         import json
@@ -815,7 +749,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         print(json.dumps(model.to_dict(), indent=2), file=out)
     else:
         _print_report(model, out)
-    _write_trace_outputs(args, tracer, metrics, out)
+    observer.write(args.trace, out)
     return 0
 
 

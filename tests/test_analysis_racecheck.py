@@ -6,11 +6,11 @@ from repro.analysis.racecheck import (
     check_races,
     run_racy_fixture,
     sanitized_fleet_run,
-    verify_noop_sanitize,
 )
 from repro.core.fleet import ModelCache, build_fleet
 from repro.core.inference import InferredSwitchModel
 from repro.core.scores import TangoScoreDatabase
+from repro.perf.harness import verify_noop
 from repro.switches.profiles import make_cache_test_profile
 from repro.tables.policies import FIFO, LRU
 
@@ -254,10 +254,10 @@ def test_faulted_fleet_run_reports_zero_findings():
 
 
 def test_sanitized_run_is_byte_identical_to_bare_run():
-    # AssertionError from verify_noop_sanitize is the failure mode.
-    payload = verify_noop_sanitize()
+    # AssertionError from verify_noop is the failure mode.
+    payload = verify_noop(arms=("sanitize",))["sanitize"]
     assert payload["findings"] == 0
-    assert payload["accesses"] > 0
+    assert payload["live"] > 0
 
 
 def test_check_races_empty_log_is_clean():

@@ -14,11 +14,13 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.racecheck import RaceSanitizer
 from repro.core.fleet import FleetInferenceEngine, FleetMember, build_fleet
 from repro.core.scores import TangoScoreDatabase
 from repro.core.shard import SHARD_BACKENDS, ShardedFleetEngine
 from repro.faults import FaultInjector, RetryPolicy
 from repro.faults.plan import FaultPlan
+from repro.obs import NULL_OBSERVER, MetricsRegistry, Observer, Tracer
 from repro.switches.profiles import make_cache_test_profile
 from repro.tables.policies import FIFO, LIFO, LRU, PRIORITY_CACHE
 
@@ -227,6 +229,42 @@ def test_constructor_rejects_bad_geometry():
     with pytest.raises(ValueError, match="at least one member"):
         ShardedFleetEngine([])
     assert SHARD_BACKENDS == ("inline", "process")
+
+
+def test_many_shards_reject_a_live_observer_by_name():
+    members = build_fleet(_profiles(2), 4)
+    with pytest.raises(
+        ValueError, match="--shards cannot be combined with tracer: 4 worker"
+    ):
+        ShardedFleetEngine(members, shards=4, observer=Observer(tracer=Tracer()))
+    with pytest.raises(
+        ValueError, match="combined with max_in_flight, sanitizer, metrics:"
+    ):
+        ShardedFleetEngine(
+            members,
+            shards=4,
+            max_in_flight=2,
+            observer=Observer(metrics=MetricsRegistry(), sanitizer=RaceSanitizer()),
+        )
+
+
+def test_many_shards_accept_the_null_observer():
+    members = build_fleet(_profiles(2), 4)
+    engine = ShardedFleetEngine(
+        members, seed=7, shards=4, backend="inline", observer=NULL_OBSERVER, **FAST
+    )
+    assert len(engine.infer_fleet(include_policy=False).members) == 4
+
+
+def test_one_shard_runs_with_a_live_observer():
+    members = build_fleet(_profiles(2), 4)
+    tracer = Tracer()
+    engine = ShardedFleetEngine(
+        members, seed=7, shards=1, observer=Observer(tracer=tracer), **FAST
+    )
+    result = engine.infer_fleet(include_policy=False)
+    assert len(result.members) == 4
+    assert any(event.name == "fleet.infer" for event in tracer.events)
 
 
 def test_shard_stats_shape():

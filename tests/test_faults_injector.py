@@ -7,7 +7,6 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     StallWindow,
-    verify_noop_injection,
 )
 from repro.openflow.actions import OutputAction
 from repro.openflow.channel import ControlChannel
@@ -18,6 +17,7 @@ from repro.openflow.errors import (
 )
 from repro.openflow.match import IpPrefix, Match, PacketFields
 from repro.openflow.messages import FlowMod, FlowModCommand, PacketOut
+from repro.perf.harness import verify_noop
 from repro.sim.latency import ConstantLatency
 from repro.switches.base import ControlCostModel, SimulatedSwitch
 from repro.tables.policies import FIFO
@@ -212,4 +212,5 @@ def test_streams_are_per_switch_name_not_wrap_order():
 
 
 def test_verify_noop_injection_passes():
-    verify_noop_injection(n=60)
+    payload = verify_noop(arms=("faults",), n=60)
+    assert payload["faults"]["live"] > 0

@@ -329,9 +329,12 @@ def test_attached_collector_is_a_noop_for_the_scheduler():
     from repro.core.scheduler import BasicTangoScheduler
     from repro.perf.workloads import fast_executor, layered_dag
 
+    from repro.obs.observer import NULL_OBSERVER, Observer
+
     def run(collector):
         dag = layered_dag(200)
-        executor = fast_executor(telemetry=collector)
+        observer = NULL_OBSERVER if collector is None else Observer(telemetry=collector)
+        executor = fast_executor(observer=observer)
         result = BasicTangoScheduler(executor).schedule(dag)
         return (
             result.makespan_ms,
@@ -349,11 +352,12 @@ def test_attached_collector_is_a_noop_for_the_scheduler():
 
 def test_two_same_seed_scheduler_runs_serialize_identically():
     from repro.core.scheduler import BasicTangoScheduler
+    from repro.obs.observer import Observer
     from repro.perf.workloads import fast_executor, layered_dag
 
     def stream():
         collector = TelemetryCollector(interval_ms=5.0)
-        executor = fast_executor(telemetry=collector)
+        executor = fast_executor(observer=Observer(telemetry=collector))
         BasicTangoScheduler(executor).schedule(layered_dag(200))
         collector.finish(executor.now_ms())
         return telemetry_jsonl_lines(collector.samples)

@@ -17,6 +17,7 @@ from repro.core.requests import RequestDag
 from repro.core.scheduler import PrefixTangoScheduler
 from repro.faults import DisconnectWindow, FaultInjector, FaultPlan
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.obs.trace import Tracer
 from repro.openflow.match import IpPrefix, Match
 from repro.openflow.messages import FlowModCommand
@@ -78,9 +79,11 @@ def _build_dag(requests, edges):
     return dag
 
 
-def _schedulers(estimates, depth, scheduler_cls=PrefixTangoScheduler, **kwargs):
+def _schedulers(
+    estimates, depth, scheduler_cls=PrefixTangoScheduler, observer=NULL_OBSERVER, **kwargs
+):
     return scheduler_cls(
-        fast_executor(*sorted(estimates)),
+        fast_executor(*sorted(estimates), observer=observer),
         estimate=lambda request: estimates[request.location],
         lookahead_depth=depth,
         **kwargs,
@@ -164,7 +167,7 @@ def test_random_dags_identical_with_tracing_enabled(spec):
     requests, edges, estimates, depth = spec
     tracer = Tracer()
     traced = _schedulers(
-        estimates, depth, tracer=tracer, metrics=MetricsRegistry()
+        estimates, depth, observer=Observer(tracer=tracer, metrics=MetricsRegistry())
     ).schedule(_build_dag(requests, edges))
     ref = _schedulers(
         estimates, depth, scheduler_cls=ReferencePrefixTangoScheduler

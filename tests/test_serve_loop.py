@@ -1,6 +1,7 @@
 """Tests for the long-running serving loop (replay, degradation)."""
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.obs.slo import DriftFeed, SloPolicy, alerts_jsonl_lines, default_slo_targets
 from repro.obs.telemetry import TelemetryCollector, telemetry_jsonl_lines
 from repro.serve import ServeConfig, ServeLoop, StreamConfig
@@ -47,9 +48,11 @@ def _collector():
 
 
 def _run(config, collector=None):
-    loop = ServeLoop(
-        config, _profile(), collector=collector, metrics=MetricsRegistry()
+    observer = Observer(
+        metrics=MetricsRegistry(),
+        telemetry=collector if collector is not None else NULL_OBSERVER.telemetry,
     )
+    loop = ServeLoop(config, _profile(), observer=observer)
     return loop.run()
 
 
@@ -130,7 +133,7 @@ def test_shrinking_tcam_monotonically_degrades_hit_rate():
 
 def test_metrics_histogram_records_installs():
     registry = MetricsRegistry()
-    loop = ServeLoop(_config(arrivals=600), _profile(), metrics=registry)
+    loop = ServeLoop(_config(arrivals=600), _profile(), observer=Observer(metrics=registry))
     result = loop.run()
     snapshot = registry.snapshot()
     hist = snapshot.get("serve.install_ms")
