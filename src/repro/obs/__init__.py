@@ -8,9 +8,9 @@ JSONL, Chrome ``trace_event``, and Prometheus text formats
 (:mod:`repro.obs.export`), a continuous flow-telemetry pipeline with
 sliding-window aggregates and NetFlow-style flow-cache sampling
 (:mod:`repro.obs.telemetry`), and SLO burn-rate alerting plus drift
-feeds over that stream (:mod:`repro.obs.slo`), surfaced by the
-``tango-trace`` (:mod:`repro.obs.cli`) and ``tango-telemetry``
-(:mod:`repro.obs.telemetry_cli`) CLIs.
+feeds over that stream (:mod:`repro.obs.slo`).  ``tango-report``
+(:mod:`repro.tools.report`) reads the trace, telemetry and alert files
+back.
 
 Instrumented components take one :class:`Observer` bundling the tracer,
 metrics registry, collector and race sanitizer, and default to

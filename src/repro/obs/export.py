@@ -3,8 +3,8 @@
 Three output formats, all byte-deterministic for a fixed event stream
 (keys sorted, compact separators, no wall-clock anywhere):
 
-* **JSONL** -- one event per line; the archival format ``tango-trace``
-  reads back (:func:`write_jsonl` / :func:`read_jsonl`).
+* **JSONL** -- one event per line; the archival format ``tango-report
+  trace``/``chrome`` read back (:func:`write_jsonl` / :func:`read_jsonl`).
 * **Chrome trace_event JSON** -- loads directly in ``chrome://tracing``
   or Perfetto; spans become complete (``"ph": "X"``) events, instant
   events ``"ph": "i"``, and each category gets its own named track
@@ -14,7 +14,7 @@ Three output formats, all byte-deterministic for a fixed event stream
   (:func:`prometheus_text`).
 
 :func:`summarize_events` condenses an event stream into the dict that
-``tango-trace summary`` and the markdown report's telemetry section
+``tango-report trace`` and the markdown report's telemetry section
 render.
 """
 

@@ -778,7 +778,7 @@ def read_telemetry_jsonl(source: PathOrFile) -> List[TelemetrySample]:
 def summarize_telemetry(samples: Sequence[TelemetrySample]) -> Dict[str, Any]:
     """Condense a telemetry stream into per-series statistics.
 
-    The payload behind ``tango-telemetry summary`` and the markdown
+    The payload behind ``tango-report telemetry`` and the markdown
     report's telemetry section: per series -- sample count, distinct
     sources, min/mean/max/last value, and the time extent.
     """

@@ -1,11 +1,10 @@
 """Micro-benchmark harness for the scheduler/TCAM hot paths.
 
-``tango-bench`` (also ``tango-probe bench``) times the code paths this
-reproduction leans on at scale -- incremental DAG scheduling, Fenwick
-shift accounting, prefix lookahead -- against the retired
-pre-optimization implementations, verifies that both arms produce
-bit-for-bit identical results, and gates CI on deterministic operation
-counts (see :mod:`repro.perf.harness`).
+``tango-bench`` times the code paths this reproduction leans on at
+scale -- incremental DAG scheduling, Fenwick shift accounting, prefix
+lookahead -- against the retired pre-optimization implementations,
+verifies that both arms produce bit-for-bit identical results, and gates
+CI on deterministic operation counts (see :mod:`repro.perf.harness`).
 
 This is the one package (besides the simulation substrate ``sim/``)
 allowed to read the host wall clock: measured wall time is reported for

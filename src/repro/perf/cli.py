@@ -11,9 +11,6 @@ Usage::
     tango-bench --quick              # CI smoke: 1k only
     tango-bench --update-baseline    # refresh the checked-in op counts
     python -m repro.perf.cli --quick --output BENCH_scheduler.json
-
-Also mounted as ``tango-probe bench`` alongside the other operator
-subcommands.
 """
 
 from __future__ import annotations
@@ -37,7 +34,11 @@ DEFAULT_BASELINE = Path("benchmarks") / "perf_baseline.json"
 DEFAULT_OUTPUT = "BENCH_scheduler.json"
 
 
-def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="tango-bench",
+        description="Micro-benchmark the scheduler/TCAM hot paths.",
+    )
     parser.add_argument(
         "--quick",
         action="store_true",
@@ -104,6 +105,7 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="S",
         help="shard counts of the --fleet-scaling run (default: 1 2 4)",
     )
+    return parser
 
 
 def _fmt_speedup(value) -> str:
@@ -129,7 +131,9 @@ def _print_table(records, out) -> None:
         )
 
 
-def run_bench(args, out) -> int:
+def main(argv: Optional[List[str]] = None, out=None) -> int:
+    out = out if out is not None else sys.stdout
+    args = _build_parser().parse_args(argv)
     records = run_suite(
         sizes=args.sizes,
         quick=args.quick,
@@ -161,7 +165,7 @@ def run_bench(args, out) -> int:
     )
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
 
-    if getattr(args, "fleet_scaling", None):
+    if args.fleet_scaling:
         scaling = collect_fleet_scaling(
             members=args.fleet_scaling_members,
             shard_counts=tuple(args.fleet_scaling_shards),
@@ -204,21 +208,6 @@ def run_bench(args, out) -> int:
         return 1
     print("perf gate ok", file=out)
     return 0
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tango-bench",
-        description="Micro-benchmark the scheduler/TCAM hot paths.",
-    )
-    add_bench_arguments(parser)
-    return parser
-
-
-def main(argv: Optional[List[str]] = None, out=None) -> int:
-    out = out if out is not None else sys.stdout
-    args = _build_parser().parse_args(argv)
-    return run_bench(args, out)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,8 +13,8 @@ Examples::
     python -m repro.serve.cli --arrivals 5000 --verify-determinism
 
 Exit codes: 0 success, 1 race findings under ``--sanitize``, 2
-determinism divergence under ``--verify-determinism`` or an invalid
-option value.
+determinism divergence under ``--verify-determinism``, an invalid option
+value, or an unwritable ``--telemetry``/``--report`` path.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from repro.obs.observer import Observer
 from repro.serve.loop import ServeConfig, ServeLoop, policy_from_model
 from repro.serve.stream import StreamConfig
 from repro.switches.profiles import VENDOR_PROFILES
+from repro.tools.report import cannot_write, render_collector, render_races, render_serve
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -178,65 +179,6 @@ def _signature(result, observer):
     return "\x00".join(parts)
 
 
-def _render_text(args, result, observer, races, out) -> None:
-    cache = result.cache
-    print(
-        f"serve [{args.profile}] seed {args.seed}: "
-        f"{result.arrivals} arrivals over {result.duration_ms:.1f} virtual ms",
-        file=out,
-    )
-    print(f"  requests/sec     : {result.requests_per_sec:.1f} (virtual)", file=out)
-    summary = result.to_dict()
-    print(
-        f"  install latency  : p50={summary['install_p50_ms']}"
-        f" p99={summary['install_p99_ms']} ms",
-        file=out,
-    )
-    print(
-        f"  cache            : {cache.hits} hits / {cache.lookups} lookups "
-        f"({100.0 * cache.hit_rate:.1f}%), {cache.wildcard_hits} via wildcards",
-        file=out,
-    )
-    print(
-        f"  table churn      : {cache.installs} installs, "
-        f"{cache.evictions} evictions, {cache.expirations} expirations, "
-        f"{cache.aggregations} aggregations ({cache.aggregated_rules} rules folded)",
-        file=out,
-    )
-    print(
-        f"  admission        : {cache.punts} punts, {cache.coalesced} coalesced, "
-        f"{cache.rejected} rejected",
-        file=out,
-    )
-    occupancy = result.occupancy
-    layers = ", ".join(
-        f"{layer['name']}={layer['entries']}"
-        + (f" ({100.0 * layer['ratio']:.0f}%)" if layer["ratio"] is not None else "")
-        for layer in occupancy.get("layers", [])
-    )
-    print(f"  final occupancy  : {occupancy.get('total')} rules [{layers}]", file=out)
-    print(
-        f"  batches          : {result.batches} "
-        f"({result.rounds} scheduler rounds, "
-        f"{result.maintenance_ticks} maintenance ticks)",
-        file=out,
-    )
-    collector = observer.telemetry
-    if collector.enabled:
-        stats = collector.stats()
-        print(
-            f"  telemetry        : {stats['samples']} samples, "
-            f"{stats['ticks']} ticks, {len(collector.alerts)} alerts",
-            file=out,
-        )
-    if races is not None:
-        print(
-            f"  race check       : {races.accesses} accesses over "
-            f"{races.events} events, {len(races.findings)} finding(s)",
-            file=out,
-        )
-
-
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = _build_parser()
@@ -247,6 +189,15 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     except ValueError as error:
         parser.error(str(error))
 
+    try:
+        return _serve(args, profile, config, out)
+    except OSError as error:
+        if error.filename is None:
+            raise
+        return cannot_write(error)
+
+
+def _serve(args, profile, config: ServeConfig, out) -> int:
     result, observer, races = _run_once(args, profile, config)
 
     if args.verify_determinism:
@@ -261,23 +212,26 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
                 file=out,
             )
 
+    payload = {"serve": result.to_dict()}
+    if observer.telemetry.enabled:
+        payload["telemetry"] = observer.telemetry.stats()
+    if races is not None:
+        payload["races"] = races.summary()
     if args.json:
-        payload = {"serve": result.to_dict()}
-        if observer.telemetry.enabled:
-            payload["telemetry"] = observer.telemetry.stats()
-        if races is not None:
-            payload["races"] = races.summary()
         print(json.dumps(payload, indent=2), file=out)
     else:
-        _render_text(args, result, observer, races, out)
+        lines = render_serve(payload["serve"], heading=f"serve [{args.profile}] seed {args.seed}")
+        if "telemetry" in payload:
+            lines += render_collector(payload["telemetry"])
+        if "races" in payload:
+            lines += render_races(payload["races"])
+        print("\n".join(lines), file=out)
 
     observer.write(args.telemetry, None if args.json else out)
 
     if args.report:
-        from repro.tools.report import render_serve
-
         lines = ["# Tango serving report", ""]
-        lines.extend(render_serve(result.to_dict(), heading="## Sustained serving"))
+        lines.extend(render_serve(payload["serve"], heading="## Sustained serving"))
         lines.append("")
         with open(args.report, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines))

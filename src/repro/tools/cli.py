@@ -25,11 +25,16 @@ count.  ``--sanitize`` runs the fleet under the
 :mod:`repro.analysis.racecheck` sanitizer and appends the TNG040
 tie-break race report (exit 1 on findings); ``--sanitize-fixture racy``
 runs the seeded racy regression fixture instead of a real fleet.
+
+Race, shard and collector sections print through the
+:mod:`repro.tools.report` renderers.  An unwritable ``--trace`` or
+``--telemetry`` path exits 2 with ``error: cannot write PATH``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import replace
 from typing import List, Optional
@@ -38,6 +43,7 @@ from repro.core.inference import SwitchInferenceEngine
 from repro.core.placement import PARTITION_STRATEGIES
 from repro.obs.observer import Observer
 from repro.switches.profiles import VENDOR_PROFILES
+from repro.tools.report import cannot_write, render_collector, render_races, render_shards
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -171,14 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "PATH.chrome.json, and PATH.prom",
     )
 
-    bench = sub.add_parser(
-        "bench",
-        help="micro-benchmark the scheduler/TCAM hot paths (tango-bench)",
-    )
-    from repro.perf.cli import add_bench_arguments
-
-    add_bench_arguments(bench)
-
     from repro.netem.scenarios import FAULT_SCENARIOS
 
     faults = sub.add_parser(
@@ -271,22 +269,7 @@ def _print_report(model, out) -> None:
             )
 
 
-def _render_races_text(races, out) -> None:
-    """Human-readable race-check section (traces included)."""
-    print(
-        f"race check: {races.accesses} accesses over {races.events} events, "
-        f"{len(races.findings)} finding(s)",
-        file=out,
-    )
-    for diagnostic in races.report:
-        print(f"  {diagnostic.format()}", file=out)
-        for line in diagnostic.trace:
-            print(f"    {line}", file=out)
-
-
 def _run_sanitize_fixture(args, out) -> int:
-    import json
-
     from repro.analysis.racecheck import run_racy_fixture
 
     races = run_racy_fixture(seed=args.seed)
@@ -297,13 +280,11 @@ def _run_sanitize_fixture(args, out) -> int:
             f"sanitizer fixture '{args.sanitize_fixture}' (seed {args.seed}):",
             file=out,
         )
-        _render_races_text(races, out)
+        print("\n".join(render_races(races.summary())), file=out)
     return 1 if races.findings else 0
 
 
 def _run_fleet(args, out) -> int:
-    import json
-
     from repro.core.fleet import FleetInferenceEngine, build_fleet
 
     if args.fleet < 1:
@@ -413,45 +394,38 @@ def _run_fleet(args, out) -> int:
             file=out,
         )
     if shard_stats is not None:
-        print(
-            f"  sharded: {shard_stats['shards']} shards "
-            f"({shard_stats['partition']} partition, "
-            f"{shard_stats['backend']} backend, "
-            f"{shard_stats['workers']} workers)",
-            file=out,
-        )
-        print(
-            f"    cross-shard coalesced : {shard_stats['cross_shard_coalesced']}"
-            f"  (wasted probe ops {shard_stats['wasted_probe_ops']})",
-            file=out,
-        )
-        print(
-            f"    merge                 : {shard_stats['merge_events']} events, "
-            f"{shard_stats['merge_records']} records",
-            file=out,
-        )
-        for shard in shard_stats["per_shard"]:
-            print(
-                f"    shard {shard['shard']}: {shard['members']} members, "
-                f"{shard['full_probes']} probes, "
-                f"{shard['cache_hits']} cache hits, "
-                f"makespan {shard['makespan_ms'] / 1000.0:8.2f} s",
-                file=out,
-            )
+        print("\n".join(render_shards(shard_stats)), file=out)
     if races is not None:
-        _render_races_text(races, out)
+        print("\n".join(render_races(races.summary())), file=out)
     observer.write(args.trace, out)
     return 1 if races is not None and races.findings else 0
+
+
+def _triangle_testbed(seed: int, flows: int):
+    """The triangle testbed (switch1 default, switch3 at ``s3``) with
+    ``flows`` s1->s2 flows installed."""
+    from repro.netem.network import EmulatedNetwork
+    from repro.netem.topology import triangle_topology
+    from repro.sim.rng import SeededRng
+
+    network = EmulatedNetwork(
+        triangle_topology(),
+        default_profile=VENDOR_PROFILES["switch1"],
+        profiles={"s3": VENDOR_PROFILES["switch3"]},
+        seed=seed,
+    )
+    rng = SeededRng(seed).child("cli-flows")
+    for _ in range(flows):
+        network.new_flow("s1", "s2", priority=rng.randint(1, 2000))
+    network.preinstall_flow_rules()
+    return network
 
 
 def _run_schedule(args, out) -> int:
     from repro.baselines import DionysusScheduler
     from repro.core.patterns import make_type_only_pattern
     from repro.core.scheduler import BasicTangoScheduler
-    from repro.netem.network import EmulatedNetwork
     from repro.netem.scenarios import LinkFailureScenario, TrafficEngineeringScenario
-    from repro.netem.topology import triangle_topology
-    from repro.sim.rng import SeededRng
 
     # An empty update schedules nothing, so there is no baseline makespan
     # to compare the arms against.
@@ -464,19 +438,6 @@ def _run_schedule(args, out) -> int:
             file=out,
         )
         return 2
-
-    def build_network():
-        network = EmulatedNetwork(
-            triangle_topology(),
-            default_profile=VENDOR_PROFILES["switch1"],
-            profiles={"s3": VENDOR_PROFILES["switch3"]},
-            seed=args.seed,
-        )
-        rng = SeededRng(args.seed).child("cli-flows")
-        for _ in range(args.flows):
-            network.new_flow("s1", "s2", priority=rng.randint(1, 2000))
-        network.preinstall_flow_rules()
-        return network
 
     def build_dag(network):
         if args.scenario == "lf":
@@ -502,7 +463,7 @@ def _run_schedule(args, out) -> int:
     baseline = None
     checked = False
     for label, factory in arms.items():
-        network = build_network()
+        network = _triangle_testbed(args.seed, args.flows)
         result = build_dag(network)
         if args.strict and not checked:
             # Same seed => every arm schedules an identical DAG; verify once.
@@ -546,10 +507,7 @@ def _run_schedule(args, out) -> int:
 def _run_faults(args, out) -> int:
     from repro.core.scheduler import BasicTangoScheduler
     from repro.faults import FaultInjector, RetryPolicy
-    from repro.netem.network import EmulatedNetwork
     from repro.netem.scenarios import FAULT_SCENARIOS, LinkFailureScenario
-    from repro.netem.topology import triangle_topology
-    from repro.sim.rng import SeededRng
 
     scenario = FAULT_SCENARIOS[args.scenario]
     plan = scenario.plan(args.seed)
@@ -583,16 +541,7 @@ def _run_faults(args, out) -> int:
         size = engine.infer_sizes()
 
         # Faulted link-failure schedule on the triangle testbed.
-        network = EmulatedNetwork(
-            triangle_topology(),
-            default_profile=VENDOR_PROFILES["switch1"],
-            profiles={"s3": VENDOR_PROFILES["switch3"]},
-            seed=args.seed,
-        )
-        rng = SeededRng(args.seed).child("cli-flows")
-        for _ in range(args.flows):
-            network.new_flow("s1", "s2", priority=rng.randint(1, 2000))
-        network.preinstall_flow_rules()
+        network = _triangle_testbed(args.seed, args.flows)
         dag_result = LinkFailureScenario(network, ("s1", "s2")).build_dag()
         sched_injector = FaultInjector(plan)
         executor = network.executor(fault_injector=sched_injector, observer=observer)
@@ -649,19 +598,8 @@ def _run_faults(args, out) -> int:
 
     collector = observer.telemetry
     if collector.enabled:
-        stats = collector.stats()
-        print("telemetry:", file=out)
-        print(f"  samples          : {stats['samples']}", file=out)
-        print(f"  ticks            : {stats['ticks']}", file=out)
-        print(f"  series           : {len(collector.series_names())}", file=out)
-        print(f"  alerts           : {len(collector.alerts)}", file=out)
-        for alert in collector.alerts:
-            source = f"[{alert.source}]" if alert.source else ""
-            print(
-                f"    {alert.name} ({alert.kind}, {alert.severity}) "
-                f"at t={alert.t_ms:.2f} ms on {alert.series}{source}",
-                file=out,
-            )
+        alerts = [alert.to_dict() for alert in collector.alerts]
+        print("\n".join(render_collector(collector.stats(), alerts)), file=out)
 
     if args.verify_determinism:
         # Same tracer (one trace covers both runs), fresh collector.
@@ -696,17 +634,20 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = _build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _run(parser, args, out)
+    except OSError as error:
+        if error.filename is None:
+            raise
+        return cannot_write(error)
 
+
+def _run(parser, args, out) -> int:
     if args.command == "schedule":
         return _run_schedule(args, out)
 
     if args.command == "faults":
         return _run_faults(args, out)
-
-    if args.command == "bench":
-        from repro.perf.cli import run_bench
-
-        return run_bench(args, out)
 
     if args.command == "profiles":
         for name, profile in sorted(VENDOR_PROFILES.items()):
@@ -744,8 +685,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         parser.error(str(error))
     model = engine.infer(include_policy=args.policy)
     if args.json:
-        import json
-
         print(json.dumps(model.to_dict(), indent=2), file=out)
     else:
         _print_report(model, out)

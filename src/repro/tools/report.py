@@ -1,10 +1,21 @@
-"""Render a pytest-benchmark JSON file into a markdown experiment report.
+"""``tango-report``: the one reader and renderer of a run's artifacts.
 
-The benchmark harness attaches its paper-facing numbers to each bench's
-``extra_info``; this tool turns a saved run into a readable report::
+Every summary payload a run produces has exactly one ``render_*``
+function here, returning markdown lines.  The benchmark report, the
+reader subcommands below, and the CLIs that produce a payload
+(``tango-probe``, ``tango-serve``) all print through it::
 
     pytest benchmarks/ --benchmark-only --benchmark-json=run.json
-    python -m repro.tools.report run.json > report.md
+    tango-report bench run.json > report.md          # experiment report
+    tango-report trace run.jsonl                     # span/event statistics
+    tango-report chrome run.jsonl -o run.chrome.json # Perfetto, chrome://tracing
+    tango-report telemetry run.telemetry.jsonl --json
+    tango-report timeseries run.telemetry.jsonl switch.occupancy --source s1
+    tango-report alerts run.alerts.jsonl --kind burn_rate
+
+Exit codes: 0 success; 1 an unreadable or malformed input (``error:
+cannot read PATH: ...``) or a series with no samples; 2 a usage error or
+an unwritable output (``error: cannot write PATH: ...``).
 """
 
 from __future__ import annotations
@@ -12,7 +23,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List, Optional
+from pathlib import Path
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+#: What reading and rendering a malformed artifact can raise.
+_UNREADABLE = (OSError, ValueError, LookupError, TypeError, AttributeError, ArithmeticError)
 
 
 def _format_value(value: Any, indent: int = 0) -> List[str]:
@@ -40,16 +55,19 @@ def render_diagnostics(diagnostics: List[Any], heading: str = "### Diagnostics")
     """
     lines = [heading, ""]
     for item in diagnostics:
-        payload = item.to_dict() if hasattr(item, "to_dict") else dict(item)
-        location = f" `{payload['location']}`" if payload.get("location") else ""
-        hint = f" — {payload['hint']}" if payload.get("hint") else ""
-        lines.append(
-            f"- **{payload.get('code', '?')}** "
-            f"({payload.get('severity', '?')}){location}: "
-            f"{payload.get('message', '')}{hint}"
-        )
+        lines.append(_diagnostic_line(item.to_dict() if hasattr(item, "to_dict") else dict(item)))
     lines.append("")
     return lines
+
+
+def _diagnostic_line(payload: Dict[str, Any]) -> str:
+    location = f" `{payload['location']}`" if payload.get("location") else ""
+    hint = f" — {payload['hint']}" if payload.get("hint") else ""
+    return (
+        f"- **{payload.get('code', '?')}** "
+        f"({payload.get('severity', '?')}){location}: "
+        f"{payload.get('message', '')}{hint}"
+    )
 
 
 def render_races(summary: Dict[str, Any], heading: str = "### Race check") -> List[str]:
@@ -70,12 +88,7 @@ def render_races(summary: Dict[str, Any], heading: str = "### Race check") -> Li
     findings = summary.get("findings", 0)
     lines.append(f"- findings: {findings}")
     for payload in summary.get("diagnostics") or ():
-        location = f" `{payload['location']}`" if payload.get("location") else ""
-        lines.append(
-            f"- **{payload.get('code', '?')}** "
-            f"({payload.get('severity', '?')}){location}: "
-            f"{payload.get('message', '')}"
-        )
+        lines.append(_diagnostic_line(payload))
         for entry in payload.get("trace") or ():
             lines.append(f"  - `{entry}`")
     lines.append("")
@@ -132,23 +145,56 @@ def render_flow_telemetry(
         lines.append(
             f"- series `{key}`: x{stats.get('count', 0)} "
             f"({stats.get('sources', 0)} sources), "
+            f"min {stats.get('min', 0.0):.3f}, "
             f"mean {stats.get('mean', 0.0):.3f}, "
             f"max {stats.get('max', 0.0):.3f}, "
             f"last {stats.get('last', 0.0):.3f}"
         )
     alerts = summary.get("alerts") or ()
     if alerts:
-        lines.append(f"- alerts: {len(alerts)}")
-        for payload in alerts:
-            source = f"[{payload['source']}]" if payload.get("source") else ""
-            lines.append(
-                f"  - **{payload.get('name', '?')}** "
-                f"({payload.get('kind', '?')}, {payload.get('severity', '?')}) "
-                f"at t={payload.get('t_ms', 0.0):.2f} ms on "
-                f"`{payload.get('series', '?')}`{source}: "
-                f"value {payload.get('value', 0.0):.3f} vs "
-                f"threshold {payload.get('threshold', 0.0):.3f}"
-            )
+        lines.extend(render_alerts(alerts))
+    lines.append("")
+    return lines
+
+
+def render_alerts(alerts: Sequence[Dict[str, Any]]) -> List[str]:
+    """Markdown lines for a list of SLO burn-rate and drift alerts.
+
+    Accepts :meth:`~repro.obs.slo.TelemetryAlert.to_dict` payloads: a
+    count line, then one nested line per alert.
+    """
+    lines = [f"- alerts: {len(alerts)}"]
+    for payload in alerts:
+        source = f"[{payload['source']}]" if payload.get("source") else ""
+        lines.append(
+            f"  - **{payload.get('name', '?')}** "
+            f"({payload.get('kind', '?')}, {payload.get('severity', '?')}) "
+            f"at t={payload.get('t_ms', 0.0):.2f} ms on "
+            f"`{payload.get('series', '?')}`{source}: "
+            f"value {payload.get('value', 0.0):.3f} vs "
+            f"threshold {payload.get('threshold', 0.0):.3f}"
+        )
+    return lines
+
+
+def render_collector(
+    stats: Dict[str, Any], alerts: Optional[Sequence[Dict[str, Any]]] = None
+) -> List[str]:
+    """Markdown lines for a live collector's roll-up.
+
+    Accepts :meth:`repro.obs.telemetry.TelemetryCollector.stats` (the
+    ``telemetry`` block of ``tango-serve --json``).  With ``alerts``
+    (``to_dict`` payloads) each alert is listed, else only their count.
+    """
+    lines = ["### Telemetry collector", ""]
+    lines.append(
+        f"- samples: {stats.get('samples', 0)} over {stats.get('ticks', 0)} ticks "
+        f"({len(stats.get('series') or ())} series)"
+    )
+    if alerts is None:
+        lines.append(f"- alerts: {stats.get('alerts', 0)}")
+    else:
+        lines.extend(render_alerts(alerts))
     lines.append("")
     return lines
 
@@ -159,9 +205,9 @@ def render_serve(
     """Markdown lines for a serving-run summary.
 
     Accepts the payload produced by
-    :meth:`repro.serve.loop.ServeResult.to_dict` (the form
-    ``tango-serve --report`` and the ``serve_churn`` bench store in
-    ``extra_info["serve"]``).
+    :meth:`repro.serve.loop.ServeResult.to_dict` (the form the
+    ``serve_churn`` bench stores in ``extra_info["serve"]``); it is also
+    ``tango-serve``'s text output and ``--report`` body.
     """
     lines = [heading, ""]
     lines.append(
@@ -188,6 +234,11 @@ def render_serve(
             f"{cache.get('aggregations', 0)} aggregations "
             f"({cache.get('aggregated_rules', 0)} rules folded)"
         )
+        if "coalesced" in cache:
+            lines.append(
+                f"- admission: {cache['coalesced']} coalesced, "
+                f"{cache.get('rejected', 0)} rejected"
+            )
     occupancy = summary.get("occupancy") or {}
     layers = occupancy.get("layers") or ()
     if layers:
@@ -202,6 +253,11 @@ def render_serve(
         )
         lines.append(
             f"- final occupancy: {occupancy.get('total', 0)} rules — {rendered}"
+        )
+    if "batches" in summary:
+        lines.append(
+            f"- batches: {summary['batches']} ({summary.get('rounds', 0)} scheduler "
+            f"rounds, {summary.get('maintenance_ticks', 0)} maintenance ticks)"
         )
     lines.append("")
     return lines
@@ -249,6 +305,17 @@ def render_shards(
     return lines
 
 
+#: ``extra_info`` keys with a renderer, in report order.
+_SECTIONS = (
+    ("diagnostics", render_diagnostics),
+    ("races", render_races),
+    ("serve", render_serve),
+    ("shards", render_shards),
+    ("telemetry", render_telemetry),
+    ("flow_telemetry", render_flow_telemetry),
+)
+
+
 def render_report(data: Dict[str, Any]) -> str:
     """Markdown report from a pytest-benchmark JSON payload."""
     lines = ["# Tango reproduction — benchmark report", ""]
@@ -271,67 +338,151 @@ def render_report(data: Dict[str, Any]) -> str:
             lines.append(f"Harness wall time: {mean:.2f} s")
             lines.append("")
         extra = dict(bench.get("extra_info") or {})
-        diagnostics = extra.pop("diagnostics", None)
-        telemetry = extra.pop("telemetry", None)
-        flow_telemetry = extra.pop("flow_telemetry", None)
-        races = extra.pop("races", None)
-        serve = extra.pop("serve", None)
-        shards = extra.pop("shards", None)
+        sections = [(render, extra.pop(key, None)) for key, render in _SECTIONS]
         if extra:
             lines.append("Reported results:")
-            for key, value in extra.items():
-                if isinstance(value, (dict, list)):
-                    lines.append(f"- **{key}**:")
-                    lines.extend(_format_value(value, indent=1))
-                else:
-                    lines.append(f"- **{key}**: {value}")
-        elif (
-            diagnostics is None
-            and telemetry is None
-            and flow_telemetry is None
-            and races is None
-            and serve is None
-            and shards is None
-        ):
+            lines.extend(_format_value(extra))
+        elif all(payload is None for _, payload in sections):
             lines.append("(no extra_info recorded)")
-        if diagnostics:
-            lines.append("")
-            lines.extend(render_diagnostics(diagnostics))
-        if races:
-            lines.append("")
-            lines.extend(render_races(races))
-        if serve:
-            lines.append("")
-            lines.extend(render_serve(serve))
-        if shards:
-            lines.append("")
-            lines.extend(render_shards(shards))
-        if telemetry:
-            lines.append("")
-            lines.extend(render_telemetry(telemetry))
-        if flow_telemetry:
-            lines.append("")
-            lines.extend(render_flow_telemetry(flow_telemetry))
+        for render, payload in sections:
+            if payload:
+                lines.append("")
+                lines.extend(render(payload))
         lines.append("")
     return "\n".join(lines)
 
 
-def main(argv: Optional[List[str]] = None, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cannot_write(error: OSError) -> int:
+    """Report an unwritable output file on stderr; the exit status (2)."""
+    print(f"error: cannot write {error.filename}: {error.strerror}", file=sys.stderr)
+    return 2
+
+
+def _bench(args) -> Tuple[int, str]:
+    with open(args.path, encoding="utf-8") as handle:
+        return 0, render_report(json.load(handle))
+
+
+def _trace(args) -> Tuple[int, str]:
+    from repro.obs.export import read_jsonl, summarize_events
+
+    summary = summarize_events(read_jsonl(args.path))
+    return 0, "\n".join(render_telemetry(summary, heading="### Trace"))
+
+
+def _chrome(args) -> Tuple[int, str]:
+    from repro.obs.export import read_jsonl, write_chrome_trace
+
+    events = read_jsonl(args.path)
+    trace = Path(args.path)
+    output = args.output or str(trace.with_name(trace.name.removesuffix(".jsonl") + ".chrome.json"))
+    try:
+        count = write_chrome_trace(events, output)
+    except OSError as error:
+        return cannot_write(error), ""
+    return 0, f"chrome trace written: {output} ({count} events)"
+
+
+def _telemetry(args) -> Tuple[int, str]:
+    from repro.obs.telemetry import read_telemetry_jsonl, summarize_telemetry
+
+    summary = summarize_telemetry(read_telemetry_jsonl(args.path))
+    if args.json:
+        return 0, json.dumps(summary, sort_keys=True)
+    return 0, "\n".join(render_flow_telemetry(summary))
+
+
+def _timeseries(args) -> Tuple[int, str]:
+    from repro.obs.telemetry import read_telemetry_jsonl, timeseries
+
+    samples = read_telemetry_jsonl(args.path)
+    points = timeseries(samples, args.series, source=args.source)
+    if args.json:
+        return 0, json.dumps(points)
+    if not points:
+        names = sorted({sample.series for sample in samples})
+        return 1, (
+            f"no samples for series {args.series!r}\n"
+            f"available series: {', '.join(names)}"
+        )
+    return 0, "\n".join(f"{t_ms:12.3f} {value:.6g}" for t_ms, value in points)
+
+
+def _alerts(args) -> Tuple[int, str]:
+    from repro.obs.slo import read_alerts_jsonl
+
+    alerts = [alert.to_dict() for alert in read_alerts_jsonl(args.path)]
+    if args.kind is not None:
+        alerts = [alert for alert in alerts if alert["kind"] == args.kind]
+    if args.json:
+        return 0, json.dumps(alerts, sort_keys=True)
+    return 0, "\n".join(render_alerts(alerts))
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tango-report",
-        description="Render a pytest-benchmark JSON file as markdown.",
+        description="Read a run's artifacts and render them.",
     )
-    parser.add_argument("json_file", help="path to the --benchmark-json output")
-    args = parser.parse_args(argv)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, run, path_help, **kwargs):
+        subparser = sub.add_parser(name, **kwargs)
+        subparser.add_argument("path", help=path_help)
+        subparser.set_defaults(run=run)
+        return subparser
+
+    trace_help = "JSONL trace file (from --trace)"
+    stream_help = "telemetry JSONL file (from --telemetry)"
+    command(
+        "bench", _bench, "path to the --benchmark-json output",
+        help="render a pytest-benchmark JSON file as a markdown report",
+    )
+    command("trace", _trace, trace_help, help="span/event statistics for a trace")
+    chrome = command(
+        "chrome", _chrome, trace_help,
+        help="convert a JSONL trace to Chrome trace_event JSON "
+        "(chrome://tracing, Perfetto)",
+    )
+    chrome.add_argument(
+        "-o", "--output", default=None,
+        help="output path (default: <trace>.chrome.json)",
+    )
+    telemetry = command(
+        "telemetry", _telemetry, stream_help,
+        help="per-series statistics for a telemetry stream",
+    )
+    series = command(
+        "timeseries", _timeseries, stream_help,
+        help="chronological (t_ms, value) points for one series",
+    )
+    series.add_argument("series", help="series name, e.g. executor.install_ms")
+    series.add_argument(
+        "--source", default=None, help="restrict to one source (switch/component)"
+    )
+    alerts = command(
+        "alerts", _alerts, "alerts JSONL file (from --telemetry)",
+        help="list SLO burn-rate and drift alerts",
+    )
+    alerts.add_argument(
+        "--kind", default=None, choices=("burn_rate", "drift"), help="filter by kind"
+    )
+    for subparser in (telemetry, series, alerts):
+        subparser.add_argument("--json", action="store_true", help="machine-readable JSON output")
+    return parser
+
+
+def main(argv: Optional[List[str]] = None, out=None) -> int:
+    out = out if out is not None else sys.stdout
+    args = _build_parser().parse_args(argv)
     try:
-        with open(args.json_file) as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
-        print(f"error: cannot read {args.json_file}: {error}", file=sys.stderr)
+        status, text = args.run(args)
+    except _UNREADABLE as error:
+        print(f"error: cannot read {args.path}: {error}", file=sys.stderr)
         return 1
-    print(render_report(data), file=out)
-    return 0
+    if text:
+        print(text, file=out)
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,13 +1,13 @@
-"""Tests for the tango-trace CLI."""
+"""Tests for the trace readers of ``tango-report`` (``trace``, ``chrome``)."""
 
 import io
 import json
 
 import pytest
 
-from repro.obs.cli import main
 from repro.obs.export import write_jsonl
 from repro.obs.trace import Tracer
+from repro.tools.report import main
 
 
 @pytest.fixture
@@ -26,13 +26,13 @@ def trace_file(tmp_path):
 
 def test_summary_subcommand(trace_file):
     out = io.StringIO()
-    assert main(["summary", trace_file], out=out) == 0
+    assert main(["trace", trace_file], out=out) == 0
     text = out.getvalue()
-    assert "events         : 3" in text
+    assert "- events: 3" in text
     assert "scheduler/batch" in text
     assert "x2" in text
-    assert "DEL MOD: 2" in text
-    assert "cli/arm: 1" in text
+    assert "pattern choices: DEL MOD x2" in text
+    assert "event `cli/arm`: x1" in text
 
 
 def test_chrome_subcommand_default_output(trace_file, tmp_path):
@@ -52,7 +52,7 @@ def test_chrome_subcommand_explicit_output(trace_file, tmp_path):
 
 
 def test_missing_trace_file_errors(tmp_path):
-    assert main(["summary", str(tmp_path / "nope.jsonl")], out=io.StringIO()) == 1
+    assert main(["trace", str(tmp_path / "nope.jsonl")], out=io.StringIO()) == 1
 
 
 def test_missing_subcommand_rejected():

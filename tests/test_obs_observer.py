@@ -17,13 +17,12 @@ from repro.obs import (
     read_jsonl,
     read_telemetry_jsonl,
 )
-from repro.obs.cli import main as trace_main
-from repro.obs.telemetry_cli import main as telemetry_main
 from repro.perf import harness
 from repro.perf.harness import verify_noop
 from repro.perf.workloads import fast_executor, layered_dag
 from repro.serve.cli import main as serve_main
 from repro.tools.cli import main as probe_main
+from repro.tools.report import main as report_main
 
 
 def test_null_observer_attaches_nothing():
@@ -135,16 +134,38 @@ BAD_INPUT = [
         2,
         "size_probe_max_rules must be positive",
     ),
-    (trace_main, ["summary", "{malformed}"], 1, "error: cannot read"),
-    (telemetry_main, ["summary", "{malformed}"], 1, "error: cannot read"),
+    (report_main, ["trace", "{malformed}"], 1, "error: cannot read"),
+    (report_main, ["telemetry", "{malformed}"], 1, "error: cannot read"),
+    (report_main, ["bench", "{top_level_list}"], 1, "error: cannot read"),
+    (report_main, ["bench", "{not_utf8}"], 1, "error: cannot read"),
+    (report_main, ["bench", "{bench_not_a_dict}"], 1, "error: cannot read"),
+    (report_main, ["bench", "{serve_cache_not_a_dict}"], 1, "error: cannot read"),
+    (report_main, ["chrome", "{empty}", "-o", "{missing}/x.json"], 2, "error: cannot write"),
+    (probe_main, ["schedule", "--flows", "5", "--trace", "{missing}/t"], 2, "error: cannot write"),
+    (serve_main, ["--arrivals", "50", "--telemetry", "{missing}/t"], 2, "error: cannot write"),
+    (serve_main, ["--arrivals", "50", "--report", "{missing}/r.md"], 2, "error: cannot write"),
 ]
+
+#: Input files the ``BAD_INPUT`` argv templates name.
+BAD_FILES = {
+    "malformed": '{"t_ms": 1.0, "series": \n'.encode(),
+    "top_level_list": b"[]",
+    "not_utf8": b"\xff\xfe{}",
+    "bench_not_a_dict": b'{"benchmarks": [1]}',
+    "serve_cache_not_a_dict": (
+        b'{"benchmarks": [{"name": "x", "extra_info": {"serve": {"cache": 5}}}]}'
+    ),
+    "empty": b"",
+}
 
 
 @pytest.mark.parametrize("main, argv, code, message", BAD_INPUT)
 def test_bad_input_exits_with_a_message(main, argv, code, message, tmp_path, capsys):
-    malformed = tmp_path / "malformed.jsonl"
-    malformed.write_text('{"t_ms": 1.0, "series": \n', encoding="utf-8")
-    argv = [arg.format(malformed=malformed) for arg in argv]
+    paths = {"missing": tmp_path / "missing"}
+    for name, content in BAD_FILES.items():
+        paths[name] = tmp_path / name
+        paths[name].write_bytes(content)
+    argv = [arg.format(**paths) for arg in argv]
     try:
         status = main(argv, out=io.StringIO())
     except SystemExit as exit:

@@ -254,18 +254,13 @@ def test_checked_in_baseline_covers_quick_sizes():
         assert ratio >= 1.0 / REGRESSION_THRESHOLD  # baseline not stale-high
 
 
-def test_tools_cli_mounts_bench_subcommand(tmp_path):
+def test_tools_cli_has_no_bench_subcommand(capsys):
     from repro.tools.cli import main as tools_main
 
-    out = io.StringIO()
-    code = tools_main(
-        ["bench", "--sizes", "30", "--no-reference",
-         "--baseline", str(tmp_path / "absent.json"),
-         "--output", str(tmp_path / "BENCH_scheduler.json")],
-        out=out,
-    )
-    assert code == 0
-    assert "trajectory written" in out.getvalue()
+    with pytest.raises(SystemExit) as exit:
+        tools_main(["bench", "--quick"], out=io.StringIO())
+    assert exit.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_shift_wall_time_note_is_honest():

@@ -27,8 +27,8 @@ def test_text_output_summarises_the_run():
     out = io.StringIO()
     assert main(_FAST + ["--seed", "5"], out=out) == 0
     text = out.getvalue()
-    assert "1200 arrivals" in text
-    assert "requests/sec" in text
+    assert "arrivals: 1200 over" in text
+    assert "req/s sustained" in text
     assert "install latency" in text
     assert "final occupancy" in text
 
@@ -54,7 +54,7 @@ def test_verify_determinism_passes():
 def test_sanitize_reports_zero_findings():
     out = io.StringIO()
     assert main(_FAST + ["--sanitize"], out=out) == 0
-    assert "0 finding(s)" in out.getvalue()
+    assert "- findings: 0" in out.getvalue()
 
 
 def test_infer_runs_with_the_inferred_policy():

@@ -1,11 +1,12 @@
-"""Tests for the ``tango-telemetry`` command-line tool."""
+"""Tests for the telemetry readers of ``tango-report`` (``telemetry``,
+``timeseries``, ``alerts``)."""
 
 import io
 import json
 
 from repro.obs.slo import SloPolicy, SloTarget, write_alerts_jsonl
 from repro.obs.telemetry import TelemetryCollector, write_telemetry_jsonl
-from repro.obs.telemetry_cli import main
+from repro.tools.report import main
 
 
 def _write_stream(tmp_path):
@@ -36,16 +37,16 @@ def _write_alerts(tmp_path):
 
 def test_summary_human_readable(tmp_path):
     out = io.StringIO()
-    assert main(["summary", _write_stream(tmp_path)], out=out) == 0
+    assert main(["telemetry", _write_stream(tmp_path)], out=out) == 0
     text = out.getvalue()
-    assert "samples :" in text
+    assert "- samples: " in text
     assert "executor.install_ms" in text
     assert "probe.rtt_ms" in text
 
 
 def test_summary_json(tmp_path):
     out = io.StringIO()
-    assert main(["summary", _write_stream(tmp_path), "--json"], out=out) == 0
+    assert main(["telemetry", _write_stream(tmp_path), "--json"], out=out) == 0
     payload = json.loads(out.getvalue())
     assert payload["samples"] > 0
     assert "executor.install_ms" in payload["series"]
@@ -82,7 +83,7 @@ def test_alerts_listing_and_kind_filter(tmp_path):
     assert count >= 1
     out = io.StringIO()
     assert main(["alerts", path], out=out) == 0
-    assert f"alerts : {count}" in out.getvalue()
+    assert f"- alerts: {count}" in out.getvalue()
     out = io.StringIO()
     assert main(["alerts", path, "--kind", "burn_rate", "--json"], out=out) == 0
     payload = json.loads(out.getvalue())
@@ -94,5 +95,5 @@ def test_alerts_listing_and_kind_filter(tmp_path):
 
 
 def test_missing_file_returns_error(tmp_path):
-    assert main(["summary", str(tmp_path / "missing.jsonl")], out=io.StringIO()) == 1
+    assert main(["telemetry", str(tmp_path / "missing.jsonl")], out=io.StringIO()) == 1
     assert main(["alerts", str(tmp_path / "missing.jsonl")], out=io.StringIO()) == 1

@@ -358,7 +358,7 @@ def test_faults_telemetry_writes_streams_and_fires_burn_alert(tmp_path):
         == 0
     )
     text = out.getvalue()
-    assert "telemetry:" in text
+    assert "### Telemetry collector" in text
     assert "identical size estimates and schedules and telemetry streams" in text
     samples = read_telemetry_jsonl(prefix + ".telemetry.jsonl")
     assert samples
@@ -437,7 +437,7 @@ def test_infer_shards_text_report_appends_shard_section():
     )
     text = out.getvalue()
     assert "fleet inference: 4 switches" in text
-    assert "sharded: 2 shards (round_robin partition" in text
+    assert "geometry: 2 shards / " in text and "(round_robin partition" in text
     assert "cross-shard coalesced" in text
     assert "shard 0:" in text and "shard 1:" in text
 
@@ -493,7 +493,7 @@ def test_infer_one_shard_trace_has_the_unsharded_span_names(tmp_path):
 def test_infer_one_shard_sanitize_runs_the_race_check():
     out = io.StringIO()
     assert main(_fleet_args("--sanitize", "--shards", "1"), out=out) == 0
-    assert "race check:" in out.getvalue()
+    assert "### Race check" in out.getvalue()
 
 
 def test_infer_many_shards_sanitize_exits_2_without_traceback():

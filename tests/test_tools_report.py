@@ -1,9 +1,12 @@
-"""Tests for the benchmark report renderer."""
+"""Tests for ``tango-report``: the renderers, ``bench``, and a reader fuzz."""
 
 import io
 import json
+from contextlib import redirect_stderr
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.tools.report import main, render_report
 
@@ -54,18 +57,18 @@ def test_main_reads_file(tmp_path, payload):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(payload))
     out = io.StringIO()
-    assert main([str(path)], out=out) == 0
+    assert main(["bench", str(path)], out=out) == 0
     assert "bench_fig10_testbed" in out.getvalue()
 
 
 def test_main_reports_unreadable_file(tmp_path):
-    assert main([str(tmp_path / "missing.json")], out=io.StringIO()) == 1
+    assert main(["bench", str(tmp_path / "missing.json")], out=io.StringIO()) == 1
 
 
 def test_main_reports_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
-    assert main([str(path)], out=io.StringIO()) == 1
+    assert main(["bench", str(path)], out=io.StringIO()) == 1
 
 
 # -- races section ------------------------------------------------------------
@@ -319,3 +322,75 @@ def test_render_report_includes_shards_extra_info():
     assert "### Sharded fleet" in rendered
     assert "2 shards / 2 workers (round_robin partition, inline backend)" in rendered
     assert "(no extra_info recorded)" not in rendered
+
+
+# -- argv fuzz ------------------------------------------------------------------
+#: The field names the readers and renderers look up, so fuzzed records
+#: reach past the first missing-key check.
+_FIELDS = [
+    # trace events, telemetry samples, alerts
+    "id", "name", "cat", "ts_ms", "end_ms", "parent", "attrs", "pattern",
+    "t_ms", "series", "source", "value", "labels", "kind", "severity",
+    "threshold", "detail",
+    # benchmark JSON and the extra_info payloads
+    "benchmarks", "machine_info", "node", "python_version", "stats", "mean",
+    "extra_info", "diagnostics", "telemetry", "flow_telemetry", "races",
+    "serve", "shards", "code", "message", "location", "hint", "trace",
+    "events", "spans", "instants", "patterns", "count", "total_ms", "max_ms",
+    "samples", "span_ms", "sources", "last", "alerts", "accesses",
+    "locations", "findings", "arrivals", "duration_ms", "requests_per_sec",
+    "install_p50_ms", "install_p99_ms", "cache", "hits", "lookups",
+    "hit_rate", "coalesced", "occupancy", "layers", "entries", "ratio",
+    "total", "batches", "per_shard", "shard", "makespan_ms",
+]
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_RECORD = st.dictionaries(st.sampled_from(_FIELDS), _JSON, max_size=8)
+_FILES = st.one_of(
+    st.binary(max_size=200),
+    _JSON.map(lambda value: json.dumps(value).encode()),
+    st.lists(_RECORD, min_size=1, max_size=4).map(
+        lambda records: "\n".join(json.dumps(r) for r in records).encode()
+    ),
+)
+_COMMANDS = st.sampled_from(
+    [
+        ["bench"],
+        ["trace"],
+        ["chrome", "-o", "{out}"],
+        ["telemetry"],
+        ["telemetry", "--json"],
+        ["timeseries", "value"],
+        ["timeseries", "executor.install_ms", "--source", "s1", "--json"],
+        ["alerts"],
+        ["alerts", "--kind", "burn_rate", "--json"],
+    ]
+)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(command=_COMMANDS, content=_FILES)
+def test_fuzzed_artifacts_never_escape_as_tracebacks(tmp_path, command, content):
+    path = tmp_path / "artifact"
+    path.write_bytes(content)
+    argv = [command[0], str(path)] + [
+        arg.format(out=tmp_path / "out.json") for arg in command[1:]
+    ]
+    err = io.StringIO()
+    with redirect_stderr(err):
+        try:
+            status = main(argv, out=io.StringIO())
+        except SystemExit as exit:
+            assert exit.code == 2, argv  # argparse usage error
+        else:
+            assert status in (0, 1), argv
+    assert "Traceback" not in err.getvalue()
