@@ -6,6 +6,12 @@
   neither reorders by rule type nor sorts additions by priority.
 * :class:`RandomOrderScheduler` -- issues independent requests in a
   random order (the "random installation order" arm of Figures 8/9).
+* :class:`FifoOrderScheduler` -- issues independent requests in
+  request-creation order.
+
+Each subclasses :class:`~repro.core.scheduler.BasicTangoScheduler` and
+overrides only ``_next_batch``, so the baselines share Tango's issue
+loop: injected transient faults are deferred and retried, not raised.
 """
 
 from repro.baselines.dionysus import DionysusScheduler

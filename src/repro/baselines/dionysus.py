@@ -16,80 +16,39 @@ from typing import Dict
 
 from repro.core.requests import RequestDag
 from repro.core.scheduler import (
+    BasicTangoScheduler,
     NetworkExecutor,
+    NextBatch,
     ScheduleResult,
-    _count_deadline_misses,
 )
 
 
-class DionysusScheduler:
+class DionysusScheduler(BasicTangoScheduler):
     """Critical-path list scheduler over the request DAG.
 
+    Runs :class:`~repro.core.scheduler.BasicTangoScheduler`'s issue loop
+    (fault deferral included) and replaces only the batch order: the
+    pattern oracle is never consulted, and each round's span is tagged
+    ``policy="critical_path"`` instead of a pattern.
+
     Args:
-        executor: network executor bound to the target switches; its
-            observer's tracer gets per-round spans tagged
-            ``policy="critical_path"`` (Dionysus has no pattern oracle)
-            and its metrics registry the round/request counters.
+        executor: network executor bound to the target switches.
     """
 
     def __init__(self, executor: NetworkExecutor) -> None:
-        self.executor = executor
-        self.tracer = executor.observer.tracer
-        self.metrics = executor.observer.metrics
-        self._m_batches = self.metrics.counter(
-            "scheduler.batches", scheduler=type(self).__name__
-        )
-        self._m_requests = self.metrics.counter(
-            "scheduler.requests", scheduler=type(self).__name__
-        )
+        super().__init__(executor)
 
-    def schedule(self, dag: RequestDag) -> ScheduleResult:
-        """Issue every request, longest-remaining-chain first."""
-        self.executor.reset_epoch()
-        result = ScheduleResult(makespan_ms=0.0)
+    def _begin_schedule(self, dag: RequestDag) -> ScheduleResult:
+        result = super()._begin_schedule(dag)
         # Cached on the DAG: repeated runs over the same structure (the
         # common A/B-comparison pattern) pay the longest-path sweep once.
-        critical = dag.critical_path_lengths()
-        finish_times: Dict[int, float] = {}
-        makespan = self.executor.epoch_ms
-
-        while not dag.is_done():
-            ready = dag.independent_requests()
-            if not ready:
-                raise RuntimeError("DAG not done but no independent requests")
-            # Longest critical path first; FIFO within ties (Dionysus has
-            # no notion of rule-type or priority-order cost).
-            ready.sort(key=lambda r: (-critical[r.request_id], r.request_id))
-            span = self.tracer.span(
-                "scheduler.batch",
-                category="scheduler",
-                clock=self.executor.now_ms,
-                policy="critical_path",
-                batch_size=len(ready),
-                round=result.rounds,
-            )
-            batch_start_ms = self.executor.now_ms() if self.tracer.enabled else 0.0
-            for request in ready:
-                dep_finish = max(
-                    (
-                        finish_times[p]
-                        for p in dag.predecessor_ids(request.request_id)
-                    ),
-                    default=self.executor.epoch_ms,
-                )
-                record = self.executor.issue(request, not_before_ms=dep_finish)
-                finish_times[request.request_id] = record.finished_ms
-                result.records.append(record)
-                dag.mark_done(request)
-                makespan = max(makespan, record.finished_ms)
-            if self.tracer.enabled:
-                span.set(actual_ms=self.executor.now_ms() - batch_start_ms)
-            span.close()
-            self._m_batches.inc()
-            self._m_requests.inc(len(ready))
-            result.rounds += 1
-        result.makespan_ms = makespan - self.executor.epoch_ms
-        result.deadline_misses = _count_deadline_misses(
-            result.records, self.executor.epoch_ms
-        )
+        self._critical: Dict[int, int] = dag.critical_path_lengths()
         return result
+
+    def _next_batch(self, dag: RequestDag, result: ScheduleResult) -> NextBatch:
+        critical = self._critical
+        ready = dag.independent_requests()
+        # Longest critical path first; FIFO within ties (Dionysus has
+        # no notion of rule-type or priority-order cost).
+        ready.sort(key=lambda r: (-critical[r.request_id], r.request_id))
+        return ready, ready, {"policy": "critical_path"}

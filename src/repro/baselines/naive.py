@@ -1,77 +1,42 @@
 """Naive issue-order baselines for the single-switch experiments.
 
 Figures 8 and 9 compare priority assignments crossed with installation
-orders; the "random order" arms are produced by these schedulers.
+orders; the "random order" arms are produced by these schedulers.  Both
+run :class:`~repro.core.scheduler.BasicTangoScheduler`'s issue loop
+(fault deferral included) and replace only the batch order.
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.core.requests import RequestDag
 from repro.core.scheduler import (
+    BasicTangoScheduler,
     NetworkExecutor,
+    NextBatch,
     ScheduleResult,
-    _count_deadline_misses,
 )
 from repro.sim.rng import SeededRng
 
 
-class _FixedOrderScheduler:
-    """Round-based scheduler issuing independent sets in a fixed order."""
-
-    def __init__(self, executor: NetworkExecutor) -> None:
-        self.executor = executor
-
-    def _order(self, requests):
-        raise NotImplementedError
-
-    def schedule(self, dag: RequestDag) -> ScheduleResult:
-        self.executor.reset_epoch()
-        result = ScheduleResult(makespan_ms=0.0)
-        finish_times: Dict[int, float] = {}
-        makespan = self.executor.epoch_ms
-        while not dag.is_done():
-            independent = dag.independent_requests()
-            if not independent:
-                raise RuntimeError("DAG not done but no independent requests")
-            ordered = self._order(independent)
-            for request in ordered:
-                dep_finish = max(
-                    (
-                        finish_times[p]
-                        for p in dag.predecessor_ids(request.request_id)
-                    ),
-                    default=self.executor.epoch_ms,
-                )
-                record = self.executor.issue(request, not_before_ms=dep_finish)
-                finish_times[request.request_id] = record.finished_ms
-                result.records.append(record)
-                dag.mark_done(request)
-                makespan = max(makespan, record.finished_ms)
-            result.rounds += 1
-        result.makespan_ms = makespan - self.executor.epoch_ms
-        result.deadline_misses = _count_deadline_misses(
-            result.records, self.executor.epoch_ms
-        )
-        return result
-
-
-class RandomOrderScheduler(_FixedOrderScheduler):
+class RandomOrderScheduler(BasicTangoScheduler):
     """Issues each independent set in a (seeded) random order."""
 
     def __init__(self, executor: NetworkExecutor, seed: int = 0) -> None:
         super().__init__(executor)
         self._rng = SeededRng(seed).child("random-order")
 
-    def _order(self, requests):
-        shuffled = list(requests)
+    def _next_batch(self, dag: RequestDag, result: ScheduleResult) -> NextBatch:
+        shuffled = dag.independent_requests()
         self._rng.shuffle(shuffled)
-        return shuffled
+        return shuffled, shuffled, {"policy": "random"}
 
 
-class FifoOrderScheduler(_FixedOrderScheduler):
+class FifoOrderScheduler(BasicTangoScheduler):
     """Issues each independent set in request-creation order."""
 
-    def _order(self, requests):
-        return sorted(requests, key=lambda r: r.request_id)
+    def __init__(self, executor: NetworkExecutor) -> None:
+        super().__init__(executor)
+
+    def _next_batch(self, dag: RequestDag, result: ScheduleResult) -> NextBatch:
+        ordered = sorted(dag.independent_requests(), key=lambda r: r.request_id)
+        return ordered, ordered, {"policy": "fifo"}

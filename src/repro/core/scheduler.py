@@ -8,17 +8,28 @@ requests are issued in that pattern's order -- deletions first, then
 modifications, then additions sorted by priority in the cheap direction
 for this switch.
 
-Two extensions from the paper are implemented:
+Three extensions from the paper are implemented:
 
 * **Non-greedy prefix batching** (:class:`PrefixTangoScheduler`): instead
   of always issuing the whole independent set, the scheduler evaluates
   issuing only a prefix first (whose completion unlocks new requests and
   thus larger, better-ordered future batches), picking the alternative
   with the better estimated completion time.
+* **Deadline-aware ordering** (:class:`DeadlineAwareTangoScheduler`):
+  requests whose ``install_by`` deadline the pattern order would miss
+  are issued first, earliest deadline first.
 * **Concurrent dependent dispatch** (:class:`ConcurrentTangoScheduler`):
   when request B depends on request A on a *different* switch, B can be
   released before A completes provided B's estimated finish trails A's
   by a guard interval (weak consistency).
+
+**One issue loop.**  :meth:`BasicTangoScheduler.schedule` is the only
+loop that drains a DAG.  Each variant -- and each baseline in
+:mod:`repro.baselines` -- overrides only the hooks that change which
+requests go next, in what order, and when one may start:
+``_next_batch`` (the round's batch, its issue order and span
+attributes), ``_not_before`` (a request's earliest start) and
+``_committed`` (the requests a round actually issued).
 
 **Fault tolerance.**  Every scheduler survives injected transient faults
 (:mod:`repro.faults`): a request whose ``issue`` raises a
@@ -89,6 +100,12 @@ class ScheduleResult:
     @property
     def total_requests(self) -> int:
         return len(self.records)
+
+
+#: One round from :meth:`BasicTangoScheduler._next_batch`: the batch its
+#: span and counters describe, the same requests in issue order, and the
+#: span's attributes.
+NextBatch = Tuple[Sequence[SwitchRequest], Sequence[SwitchRequest], Dict[str, object]]
 
 
 class NetworkExecutor:
@@ -261,6 +278,11 @@ class BasicTangoScheduler:
     telemetry collector's ``scheduler.batch_ms`` stream gets every batch.
     """
 
+    #: Per-request duration estimate (span estimates, strict deadline
+    #: checks) and concurrent-dispatch guard, for variants that have one.
+    estimate: Optional[DurationEstimator] = None
+    guard_ms: Optional[float] = None
+
     def __init__(
         self,
         executor: NetworkExecutor,
@@ -291,47 +313,35 @@ class BasicTangoScheduler:
         self._fault_attempts: Dict[int, int] = {}
 
     # -- telemetry -------------------------------------------------------------
-    def _batch_estimate_ms(self, ordered: Sequence[SwitchRequest]) -> Optional[float]:
-        """Estimated batch makespan (per-switch serial), if an estimator
-        is available to this scheduler variant."""
-        estimate = self._strict_estimate()
-        if estimate is None:
-            return None
-        per_switch: Dict[str, float] = defaultdict(float)
-        for request in ordered:
-            per_switch[request.location] += estimate(request)
-        return max(per_switch.values(), default=0.0)
-
     @contextmanager
     def _batch(
         self,
         result: ScheduleResult,
-        pattern_name: str,
         batch: Sequence[SwitchRequest],
-        **attrs: object,
+        attrs: Dict[str, object],
     ) -> Iterator[None]:
-        """One round's bookkeeping around the variant's issue loop.
+        """One round's bookkeeping around the issue loop.
 
-        Opens the per-batch span (the oracle's choice, the estimate, and
-        the variant's extra ``attrs``), then on exit closes it with the
-        actual duration and deadline misses, feeds the telemetry batch
-        stream, bumps the batch/request counters and ``result.rounds``.
+        Opens the per-batch span (the variant's ``attrs`` -- the oracle's
+        ``pattern`` or a baseline's ``policy`` -- plus any estimate and
+        guard), then on exit closes it with the actual duration and
+        deadline misses, feeds the telemetry batch stream, bumps the
+        batch/request counters and ``result.rounds``.
         """
         tracer, telemetry = self.tracer, self.telemetry
         span = tracer.span(
             "scheduler.batch",
             category="scheduler",
             clock=self.executor.now_ms,
-            pattern=pattern_name,
             batch_size=len(batch),
             round=result.rounds,
         )
         if tracer.enabled:
-            estimated = self._batch_estimate_ms(batch)
-            if estimated is not None:
-                span.set(estimated_ms=estimated)
-            if attrs:
-                span.set(**attrs)
+            span.set(**attrs)
+            if self.estimate is not None:
+                span.set(estimated_ms=_batch_estimate_ms(self.estimate, batch))
+            if self.guard_ms is not None:
+                span.set(guard_ms=self.guard_ms)
         first = len(result.records)
         start_ms = self.executor.now_ms() if tracer.enabled or telemetry.enabled else 0.0
         yield
@@ -347,7 +357,7 @@ class BasicTangoScheduler:
             if telemetry.enabled:
                 telemetry.observe_batch(
                     type(self).__name__,
-                    pattern_name,
+                    str(attrs.get("pattern", attrs.get("policy"))),
                     start_ms,
                     self.executor.now_ms(),
                     len(records),
@@ -359,14 +369,6 @@ class BasicTangoScheduler:
         result.rounds += 1
 
     # -- static verification (strict mode) ------------------------------------
-    def _strict_estimate(self) -> Optional[DurationEstimator]:
-        """Duration estimator for deadline-feasibility checks, if any."""
-        return None
-
-    def _strict_guard_ms(self) -> Optional[float]:
-        """Guard interval for concurrent-dispatch checks, if any."""
-        return None
-
     def precheck(self, dag: RequestDag):
         """Statically verify ``dag`` before issuing anything.
 
@@ -384,8 +386,8 @@ class BasicTangoScheduler:
 
         report = analyze_dag(
             dag,
-            estimate=self._strict_estimate(),
-            guard_ms=self._strict_guard_ms(),
+            estimate=self.estimate,
+            guard_ms=self.guard_ms,
         )
         report.raise_on_errors()
         return report
@@ -397,7 +399,11 @@ class BasicTangoScheduler:
     MAX_FAULT_DEFERRALS = 64
 
     def _begin_schedule(self, dag: RequestDag) -> ScheduleResult:
-        """Shared preamble: strict precheck, epoch reset, fault state."""
+        """Per-run preamble: strict precheck, epoch reset, fault state.
+
+        Variants with per-run planning state build it here, after the
+        epoch reset.
+        """
         if self.strict:
             self.precheck(dag)
         self.executor.reset_epoch()
@@ -405,10 +411,24 @@ class BasicTangoScheduler:
         self._fault_attempts = {}
         return ScheduleResult(makespan_ms=0.0)
 
-    def _dep_finish(
+    # -- the hooks a variant overrides -----------------------------------------
+    def _next_batch(self, dag: RequestDag, result: ScheduleResult) -> NextBatch:
+        """The next round: ``(batch, issue_order, span_attrs)``.
+
+        ``batch`` is what the round's span and counters describe and
+        ``issue_order`` the same requests in the order they are issued;
+        an empty batch means the pending rest of the DAG is cyclic.
+        Algorithm 3 issues the whole independent set in the winning
+        pattern's order.
+        """
+        pattern, ordered = self.oracle.choose(dag.independent_requests())
+        result.pattern_choices.append(pattern.name)
+        return ordered, ordered, {"pattern": pattern.name}
+
+    def _not_before(
         self, dag: RequestDag, request: SwitchRequest, finish_times: Dict[int, float]
     ) -> float:
-        """Latest finish among the request's completed dependencies.
+        """Earliest start of ``request``: its dependencies' latest finish.
 
         Dependency-free requests anchor at the executor epoch so guard
         and deadline arithmetic stay on the executor timeline.
@@ -418,6 +438,9 @@ class BasicTangoScheduler:
             default=self.executor.epoch_ms,
         )
 
+    def _committed(self, issued: Sequence[SwitchRequest]) -> None:
+        """After each round: the requests it issued (deferred ones left out)."""
+
     def _issue_or_defer(
         self,
         dag: RequestDag,
@@ -425,14 +448,15 @@ class BasicTangoScheduler:
         not_before_ms: float,
         finish_times: Dict[int, float],
         result: ScheduleResult,
-    ) -> Optional[IssueRecord]:
+    ) -> bool:
         """Issue one request; on a transient fault defer it instead.
 
-        A deferred request is *not* marked done: it stays in the DAG and
-        is re-planned as part of a later independent set.  Disconnect
-        faults record the reconnect instant as the request's earliest
-        retry time, honoured on the next attempt via ``not_before_ms``.
-        Returns the issue record, or ``None`` when deferred.
+        An issued request is recorded, marked done and extends the
+        running ``result.makespan_ms``.  A deferred request is *not*
+        marked done: it stays in the DAG and is re-planned as part of a
+        later independent set.  Disconnect faults record the reconnect
+        instant as the request's earliest retry time, honoured on the
+        next attempt via ``not_before_ms``.  Returns whether it issued.
         """
         rid = request.request_id
         hold = self._fault_holds.pop(rid, None)
@@ -442,11 +466,14 @@ class BasicTangoScheduler:
             record = self.executor.issue(request, not_before_ms=not_before_ms)
         except TransientFaultError as fault:
             self._note_fault(request, fault, result)
-            return None
+            return False
         finish_times[rid] = record.finished_ms
         result.records.append(record)
+        result.makespan_ms = max(
+            result.makespan_ms, record.finished_ms - self.executor.epoch_ms
+        )
         dag.mark_done(request)
-        return record
+        return True
 
     def _note_fault(
         self, request: SwitchRequest, fault: TransientFaultError, result: ScheduleResult
@@ -498,32 +525,24 @@ class BasicTangoScheduler:
                 retry_at_ms=fault.retry_at_ms,
             )
 
-    def _finalize_schedule(self, result: ScheduleResult, makespan: float) -> ScheduleResult:
-        """Shared epilogue: makespan and fault-attributed deadline misses."""
+    def _finalize_schedule(self, result: ScheduleResult) -> ScheduleResult:
+        """Shared epilogue: fault-attributed deadline misses."""
         epoch = self.executor.epoch_ms
-        result.makespan_ms = makespan - epoch
+        faulted = [r for r in result.records if r.request.request_id in result.faulted_request_ids]
         result.deadline_misses = _count_deadline_misses(result.records, epoch)
-        result.deadline_misses_fault = _count_deadline_misses(
-            [
-                r
-                for r in result.records
-                if r.request.request_id in result.faulted_request_ids
-            ],
-            epoch,
-        )
-        result.deadline_misses_schedule = (
-            result.deadline_misses - result.deadline_misses_fault
-        )
+        result.deadline_misses_fault = _count_deadline_misses(faulted, epoch)
+        result.deadline_misses_schedule = result.deadline_misses - result.deadline_misses_fault
         return result
 
     def schedule(self, dag: RequestDag) -> ScheduleResult:
         """Issue every request in the DAG; returns timing results.
 
-        Batches are the DAG's successive independent sets, each ordered
-        by the winning rewrite pattern.  Within the virtual timeline a
-        request starts as soon as its switch is free and its own
-        dependencies have finished -- there is no cross-switch barrier,
-        so independent work on different switches overlaps.
+        Each round takes the next batch from :meth:`_next_batch` (by
+        default the DAG's independent set, ordered by the winning
+        rewrite pattern).  Within the virtual timeline a request starts
+        as soon as its switch is free and :meth:`_not_before` allows --
+        there is no cross-switch barrier, so independent work on
+        different switches overlaps.
 
         With ``strict=True`` (constructor knob) the DAG is statically
         verified first and scheduling aborts with
@@ -534,22 +553,18 @@ class BasicTangoScheduler:
         """
         result = self._begin_schedule(dag)
         finish_times: Dict[int, float] = {}
-        makespan = self.executor.epoch_ms
         while not dag.is_done():
-            independent = dag.independent_requests()
-            if not independent:
+            batch, issue_order, attrs = self._next_batch(dag, result)
+            if not batch:
                 raise RuntimeError("DAG not done but no independent requests")
-            pattern, ordered = self.oracle.choose(independent)
-            result.pattern_choices.append(pattern.name)
-            with self._batch(result, pattern.name, ordered):
-                for request in ordered:
-                    dep_finish = self._dep_finish(dag, request, finish_times)
-                    record = self._issue_or_defer(
-                        dag, request, dep_finish, finish_times, result
-                    )
-                    if record is not None:
-                        makespan = max(makespan, record.finished_ms)
-        return self._finalize_schedule(result, makespan)
+            issued: List[SwitchRequest] = []
+            with self._batch(result, batch, attrs):
+                for request in issue_order:
+                    not_before = self._not_before(dag, request, finish_times)
+                    if self._issue_or_defer(dag, request, not_before, finish_times, result):
+                        issued.append(request)
+            self._committed(issued)
+        return self._finalize_schedule(result)
 
 
 def _count_deadline_misses(records: Sequence[IssueRecord], epoch_ms: float) -> int:
@@ -563,6 +578,14 @@ def _count_deadline_misses(records: Sequence[IssueRecord], epoch_ms: float) -> i
 
 #: Estimates the duration (ms) of one request on its switch.
 DurationEstimator = Callable[[SwitchRequest], float]
+
+
+def _batch_estimate_ms(estimate: DurationEstimator, batch: Sequence[SwitchRequest]) -> float:
+    """Estimated makespan of a batch (per-switch serial, cross parallel)."""
+    per_switch: Dict[str, float] = defaultdict(float)
+    for request in batch:
+        per_switch[request.location] += estimate(request)
+    return max(per_switch.values(), default=0.0)
 
 
 class PrefixTangoScheduler(BasicTangoScheduler):
@@ -613,25 +636,11 @@ class PrefixTangoScheduler(BasicTangoScheduler):
         )
         if lookahead_depth < 1:
             raise ValueError("lookahead_depth must be at least 1")
-        self.estimate = estimate
+        self.estimate: DurationEstimator = estimate
         self.max_prefixes = max_prefixes
         self.lookahead_depth = lookahead_depth
         #: The planner used by the most recent :meth:`schedule` run.
         self.last_planner: Optional[TailCostPlanner] = None
-
-    def _strict_estimate(self) -> Optional[DurationEstimator]:
-        return self.estimate
-
-    def _estimate_batch_ms(self, ordered: Sequence[SwitchRequest]) -> float:
-        """Estimated makespan of a batch (per-switch serial, cross parallel)."""
-        per_switch: Dict[str, float] = defaultdict(float)
-        for request in ordered:
-            per_switch[request.location] += self.estimate(request)
-        return max(per_switch.values(), default=0.0)
-
-    def _ready(self, dag: RequestDag, done: frozenset) -> List[SwitchRequest]:
-        """Requests whose dependencies are all in ``done`` (one-shot)."""
-        return dag.ready_after(done)
 
     def _candidate_cuts(
         self, dag: RequestDag, ordered: Sequence[SwitchRequest]
@@ -662,8 +671,8 @@ class PrefixTangoScheduler(BasicTangoScheduler):
         One-shot probe: builds a :class:`TailCostPlanner` over ``sim``
         and plans once, leaving the cursor exactly as found.  The
         scheduling loop itself keeps a single long-lived planner instead
-        (see :meth:`schedule`), so the per-round cost is the incremental
-        patch, not this O(V + E) construction.
+        (built in :meth:`_begin_schedule`), so the per-round cost is the
+        incremental patch, not this O(V + E) construction.
         """
         return self._make_planner(sim).plan(depth)
 
@@ -677,47 +686,32 @@ class PrefixTangoScheduler(BasicTangoScheduler):
         """
         return total if cut is None else cut
 
-    def schedule(self, dag: RequestDag) -> ScheduleResult:
-        result = self._begin_schedule(dag)
-        finish_times: Dict[int, float] = {}
-        makespan = self.executor.epoch_ms
+    def _begin_schedule(self, dag: RequestDag) -> ScheduleResult:
         # One long-lived planner over one long-lived lookahead cursor,
         # kept in sync with the issued requests via commit() -- no
         # per-round O(V + E) rebuilds, re-sorts, or greedy re-walks.
+        result = super()._begin_schedule(dag)
+        self.last_planner = self._make_planner(dag.simulation(dag.done_ids))
+        return result
+
+    def _next_batch(self, dag: RequestDag, result: ScheduleResult) -> NextBatch:
+        planner = self.last_planner
+        assert planner is not None  # built by _begin_schedule
+        if planner.ready_count == 0:
+            return [], [], {}
+        pattern = planner.current_pattern()
+        _, cut = planner.plan(self.lookahead_depth)
+        issue_now = planner.head_requests(self._resolve_cut(cut, planner.ready_count))
+        result.pattern_choices.append(pattern.name)
+        attrs = {"pattern": pattern.name, "ready": planner.ready_count, "cut": len(issue_now)}
+        return issue_now, issue_now, attrs
+
+    def _committed(self, issued: Sequence[SwitchRequest]) -> None:
         # Only *successfully issued* requests are committed: a
         # fault-deferred request stays pending in the DAG, the cursor,
         # and the planner's frontier alike.
-        planner = self._make_planner(dag.simulation(dag.done_ids))
-        self.last_planner = planner
-        while not dag.is_done():
-            if planner.ready_count == 0:
-                raise RuntimeError("DAG not done but no independent requests")
-            pattern = planner.current_pattern()
-
-            _, cut = planner.plan(self.lookahead_depth)
-            issue_now = planner.head_requests(
-                self._resolve_cut(cut, planner.ready_count)
-            )
-
-            result.pattern_choices.append(pattern.name)
-            issued: List[SwitchRequest] = []
-            with self._batch(
-                result,
-                pattern.name,
-                issue_now,
-                ready=planner.ready_count,
-                cut=len(issue_now),
-            ):
-                for request in issue_now:
-                    dep_finish = self._dep_finish(dag, request, finish_times)
-                    record = self._issue_or_defer(
-                        dag, request, dep_finish, finish_times, result
-                    )
-                    if record is not None:
-                        issued.append(request)
-                        makespan = max(makespan, record.finished_ms)
-            planner.commit(r.request_id for r in issued)
-        return self._finalize_schedule(result, makespan)
+        assert self.last_planner is not None  # built by _begin_schedule
+        self.last_planner.commit(r.request_id for r in issued)
 
 
 class DeadlineAwareTangoScheduler(BasicTangoScheduler):
@@ -742,15 +736,13 @@ class DeadlineAwareTangoScheduler(BasicTangoScheduler):
         super().__init__(
             executor, patterns=patterns, pattern_db=pattern_db, strict=strict
         )
-        self.estimate = estimate
+        self.estimate: DurationEstimator = estimate
 
-    def _strict_estimate(self) -> Optional[DurationEstimator]:
-        return self.estimate
-
-    def _split_urgent(
-        self, ordered: Sequence[SwitchRequest], now_ms: float
-    ) -> Tuple[List[SwitchRequest], List[SwitchRequest]]:
-        """Requests that would miss their deadline in pattern order."""
+    def _next_batch(self, dag: RequestDag, result: ScheduleResult) -> NextBatch:
+        """Pattern order, but the requests it would make miss their
+        deadline go first, earliest deadline first; the span and
+        counters still describe the pattern order."""
+        ordered, _, attrs = super()._next_batch(dag, result)
         urgent: List[SwitchRequest] = []
         relaxed: List[SwitchRequest] = []
         elapsed: Dict[str, float] = {}
@@ -758,34 +750,13 @@ class DeadlineAwareTangoScheduler(BasicTangoScheduler):
             location = request.location
             elapsed[location] = elapsed.get(location, 0.0) + self.estimate(request)
             deadline = request.install_by_ms
-            if deadline is not None and now_ms + elapsed[location] > deadline:
+            if deadline is not None and result.makespan_ms + elapsed[location] > deadline:
                 urgent.append(request)
             else:
                 relaxed.append(request)
         urgent.sort(key=lambda r: (r.install_by_ms, r.request_id))
-        return urgent, relaxed
-
-    def schedule(self, dag: RequestDag) -> ScheduleResult:
-        result = self._begin_schedule(dag)
-        finish_times: Dict[int, float] = {}
-        makespan = self.executor.epoch_ms
-        while not dag.is_done():
-            independent = dag.independent_requests()
-            if not independent:
-                raise RuntimeError("DAG not done but no independent requests")
-            pattern, ordered = self.oracle.choose(independent)
-            result.pattern_choices.append(pattern.name)
-            elapsed_epoch = makespan - self.executor.epoch_ms
-            urgent, relaxed = self._split_urgent(ordered, elapsed_epoch)
-            with self._batch(result, pattern.name, ordered, urgent=len(urgent)):
-                for request in urgent + relaxed:
-                    dep_finish = self._dep_finish(dag, request, finish_times)
-                    record = self._issue_or_defer(
-                        dag, request, dep_finish, finish_times, result
-                    )
-                    if record is not None:
-                        makespan = max(makespan, record.finished_ms)
-        return self._finalize_schedule(result, makespan)
+        attrs["urgent"] = len(urgent)
+        return ordered, urgent + relaxed, attrs
 
 
 class ConcurrentTangoScheduler(BasicTangoScheduler):
@@ -810,46 +781,22 @@ class ConcurrentTangoScheduler(BasicTangoScheduler):
         super().__init__(
             executor, patterns=patterns, pattern_db=pattern_db, strict=strict
         )
-        self.estimate = estimate
-        self.guard_ms = guard_ms
+        self.estimate: DurationEstimator = estimate
+        self.guard_ms: float = guard_ms
 
-    def _strict_estimate(self) -> Optional[DurationEstimator]:
-        return self.estimate
-
-    def _strict_guard_ms(self) -> Optional[float]:
-        return self.guard_ms
-
-    def schedule(self, dag: RequestDag) -> ScheduleResult:
-        result = self._begin_schedule(dag)
-        finish_times: Dict[int, float] = {}
-        makespan = self.executor.epoch_ms
-
-        while not dag.is_done():
-            independent = dag.independent_requests()
-            pattern, ordered = self.oracle.choose(independent)
-            result.pattern_choices.append(pattern.name)
-            if not ordered:
-                raise RuntimeError("DAG not done but no independent requests")
-            with self._batch(result, pattern.name, ordered, guard_ms=self.guard_ms):
-                for request in ordered:
-                    # Guard times are measured on the executor's timeline, so
-                    # dependency-free requests anchor at the epoch -- not at
-                    # absolute zero, which silently weakened the guard
-                    # whenever the executor had already been used (epoch > 0).
-                    # On a fault-deferred retry the anchor is *recomputed*
-                    # from finish_times, so a dependency that completed in an
-                    # earlier round still projects its guard onto the retry.
-                    dep_finish = self._dep_finish(dag, request, finish_times)
-                    own_estimate = self.estimate(request)
-                    # Weak consistency: start early as long as the estimated
-                    # finish trails every dependency's finish by the guard.
-                    earliest_start = max(
-                        self.executor.switch_available_at(request.location),
-                        dep_finish + self.guard_ms - own_estimate,
-                    )
-                    record = self._issue_or_defer(
-                        dag, request, earliest_start, finish_times, result
-                    )
-                    if record is not None:
-                        makespan = max(makespan, record.finished_ms)
-        return self._finalize_schedule(result, makespan)
+    def _not_before(
+        self, dag: RequestDag, request: SwitchRequest, finish_times: Dict[int, float]
+    ) -> float:
+        # Guard times are measured on the executor's timeline, so
+        # dependency-free requests anchor at the epoch -- not at absolute
+        # zero, which silently weakened the guard whenever the executor
+        # had already been used (epoch > 0).  On a fault-deferred retry
+        # the anchor is *recomputed* from finish_times, so a dependency
+        # that completed in an earlier round still projects its guard
+        # onto the retry.  Weak consistency: start early as long as the
+        # estimated finish trails every dependency's finish by the guard.
+        dep_finish = super()._not_before(dag, request, finish_times)
+        return max(
+            self.executor.switch_available_at(request.location),
+            dep_finish + self.guard_ms - self.estimate(request),
+        )

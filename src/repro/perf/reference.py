@@ -26,14 +26,15 @@ asserts the results are bit-for-bit identical.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.requests import ReadySimulation, RequestDag, SwitchRequest
 from repro.core.scheduler import (
     BasicTangoScheduler,
+    NextBatch,
     PrefixTangoScheduler,
     ScheduleResult,
-    _count_deadline_misses,
+    _batch_estimate_ms,
 )
 from repro.tables.tcam import SortedListShiftModel
 
@@ -81,7 +82,6 @@ class ReferenceBasicTangoScheduler(BasicTangoScheduler):
         result = ScheduleResult(makespan_ms=0.0)
         finish_times: Dict[int, float] = {}
         done: Set[int] = set()
-        makespan = self.executor.epoch_ms
         total = len(dag)
         while len(done) < total:
             independent = self._scan_independent(dag, done)
@@ -90,24 +90,16 @@ class ReferenceBasicTangoScheduler(BasicTangoScheduler):
             pattern, ordered = self.oracle.choose(independent)
             result.pattern_choices.append(pattern.name)
             for request in ordered:
-                dep_finish = max(
-                    (
-                        finish_times[p]
-                        for p in dag.predecessor_ids(request.request_id)
-                    ),
-                    default=self.executor.epoch_ms,
-                )
-                record = self.executor.issue(request, not_before_ms=dep_finish)
+                not_before = self._not_before(dag, request, finish_times)
+                record = self.executor.issue(request, not_before_ms=not_before)
                 finish_times[request.request_id] = record.finished_ms
                 result.records.append(record)
                 done.add(request.request_id)
-                makespan = max(makespan, record.finished_ms)
+                result.makespan_ms = max(
+                    result.makespan_ms, record.finished_ms - self.executor.epoch_ms
+                )
             result.rounds += 1
-        result.makespan_ms = makespan - self.executor.epoch_ms
-        result.deadline_misses = _count_deadline_misses(
-            result.records, self.executor.epoch_ms
-        )
-        return result
+        return self._finalize_schedule(result)
 
 
 class _ReferencePrefixPlanner:
@@ -141,7 +133,7 @@ class _ReferencePrefixPlanner:
             total = 0.0
             frames = 0
             while ready:
-                total += scheduler._estimate_batch_ms(ordered)
+                total += _batch_estimate_ms(scheduler.estimate, ordered)
                 sim.complete([r.request_id for r in ordered])
                 frames += 1
                 ready = sim.ready()
@@ -158,7 +150,7 @@ class _ReferencePrefixPlanner:
             sim.complete([r.request_id for r in prefix])
             rest, _ = self.plan(sim, depth - 1)
             sim.undo()
-            cost = scheduler._estimate_batch_ms(prefix) + rest
+            cost = _batch_estimate_ms(scheduler.estimate, prefix) + rest
             if cost < best_cost:
                 best_cost = cost
                 best_cut = cut
@@ -170,11 +162,10 @@ class ReferencePrefixTangoScheduler(PrefixTangoScheduler):
 
     Identical schedules (issue order, timings, rounds, pattern choices)
     to :class:`~repro.core.scheduler.PrefixTangoScheduler`; only the
-    planning machinery differs.  The scheduling loop is the retired
-    one too: every round pays a full ``independent_requests`` +
-    ``oracle.choose`` pass on top of the planner's greedy re-walks, so
-    ``dag.ops`` counts the quadratic work the incremental planner
-    eliminated.
+    planning machinery differs.  Rounds are planned the retired way
+    too: each pays a full ``independent_requests`` + ``oracle.choose``
+    pass on top of the planner's greedy re-walks, so ``dag.ops``
+    counts the quadratic work the incremental planner eliminated.
     """
 
     def _plan(
@@ -182,32 +173,18 @@ class ReferencePrefixTangoScheduler(PrefixTangoScheduler):
     ) -> Tuple[float, Optional[int]]:
         return _ReferencePrefixPlanner(self).plan(sim, depth)
 
-    def schedule(self, dag: RequestDag) -> ScheduleResult:
-        result = self._begin_schedule(dag)
-        finish_times: Dict[int, float] = {}
-        makespan = self.executor.epoch_ms
-        sim = dag.simulation(dag.done_ids)
-        while not dag.is_done():
-            independent = dag.independent_requests()
-            if not independent:
-                raise RuntimeError("DAG not done but no independent requests")
-            pattern, ordered = self.oracle.choose(independent)
+    def _begin_schedule(self, dag: RequestDag) -> ScheduleResult:
+        # The retired loop's state: a bare cursor, no tail-cost planner.
+        result = BasicTangoScheduler._begin_schedule(self, dag)
+        self._sim = dag.simulation(dag.done_ids)
+        return result
 
-            _, cut = self._plan(sim, self.lookahead_depth)
-            issue_now = ordered[: self._resolve_cut(cut, len(ordered))]
+    def _next_batch(self, dag: RequestDag, result: ScheduleResult) -> NextBatch:
+        ordered, _, attrs = BasicTangoScheduler._next_batch(self, dag, result)
+        _, cut = self._plan(self._sim, self.lookahead_depth)
+        issue_now = ordered[: self._resolve_cut(cut, len(ordered))]
+        attrs.update(ready=len(ordered), cut=len(issue_now))
+        return issue_now, issue_now, attrs
 
-            result.pattern_choices.append(pattern.name)
-            issued: List[SwitchRequest] = []
-            with self._batch(
-                result, pattern.name, issue_now, ready=len(ordered), cut=len(issue_now)
-            ):
-                for request in issue_now:
-                    dep_finish = self._dep_finish(dag, request, finish_times)
-                    record = self._issue_or_defer(
-                        dag, request, dep_finish, finish_times, result
-                    )
-                    if record is not None:
-                        issued.append(request)
-                        makespan = max(makespan, record.finished_ms)
-            sim.commit(r.request_id for r in issued)
-        return self._finalize_schedule(result, makespan)
+    def _committed(self, issued: Sequence[SwitchRequest]) -> None:
+        self._sim.commit(r.request_id for r in issued)

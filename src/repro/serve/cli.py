@@ -29,7 +29,13 @@ from repro.obs.observer import Observer
 from repro.serve.loop import ServeConfig, ServeLoop, policy_from_model
 from repro.serve.stream import StreamConfig
 from repro.switches.profiles import VENDOR_PROFILES
-from repro.tools.report import cannot_write, render_collector, render_races, render_serve
+from repro.tools.report import (
+    cannot_write,
+    non_negative_int,
+    render_collector,
+    render_races,
+    render_serve,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--arrivals", type=int, default=100_000, help="flow requests to serve"
     )
-    parser.add_argument("--seed", type=int, default=0, help="workload seed")
+    parser.add_argument("--seed", type=non_negative_int, default=0, help="workload seed")
     parser.add_argument("--tenants", type=int, default=32, help="tenant count")
     parser.add_argument(
         "--destinations",

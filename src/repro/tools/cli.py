@@ -43,7 +43,13 @@ from repro.core.inference import SwitchInferenceEngine
 from repro.core.placement import PARTITION_STRATEGIES
 from repro.obs.observer import Observer
 from repro.switches.profiles import VENDOR_PROFILES
-from repro.tools.report import cannot_write, render_collector, render_races, render_shards
+from repro.tools.report import (
+    cannot_write,
+    non_negative_int,
+    render_collector,
+    render_races,
+    render_shards,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=sorted(VENDOR_PROFILES),
         help="vendor profile to probe",
     )
-    probe.add_argument("--seed", type=int, default=0, help="probe RNG seed")
+    probe.add_argument("--seed", type=non_negative_int, default=0, help="probe RNG seed")
     probe.add_argument(
         "--fleet",
         type=int,
@@ -161,9 +167,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default="lf",
         help="link failure or one of the two traffic-engineering mixes",
     )
-    schedule.add_argument("--flows", type=int, default=200, help="testbed flow count")
-    schedule.add_argument("--requests", type=int, default=400, help="TE request count")
-    schedule.add_argument("--seed", type=int, default=0)
+    schedule.add_argument("--flows", type=non_negative_int, default=200, help="testbed flow count")
+    schedule.add_argument("--requests", type=non_negative_int, default=400, help="TE request count")
+    schedule.add_argument("--seed", type=non_negative_int, default=0)
     schedule.add_argument(
         "--strict",
         action="store_true",
@@ -195,9 +201,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default="switch2",
         help="vendor profile for the faulted size probe",
     )
-    faults.add_argument("--seed", type=int, default=0, help="fault-plan and probe seed")
     faults.add_argument(
-        "--flows", type=int, default=60, help="testbed flow count for the LF schedule"
+        "--seed", type=non_negative_int, default=0, help="fault-plan and probe seed"
+    )
+    faults.add_argument(
+        "--flows", type=non_negative_int, default=60, help="testbed flow count for the LF schedule"
     )
     faults.add_argument(
         "--verify-determinism",
@@ -421,7 +429,7 @@ def _triangle_testbed(seed: int, flows: int):
     return network
 
 
-def _run_schedule(args, out) -> int:
+def _run_schedule(parser, args, out) -> int:
     from repro.baselines import DionysusScheduler
     from repro.core.patterns import make_type_only_pattern
     from repro.core.scheduler import BasicTangoScheduler
@@ -433,11 +441,7 @@ def _run_schedule(args, out) -> int:
         ("--flows", args.flows) if args.scenario == "lf" else ("--requests", args.requests)
     )
     if count < 1:
-        print(
-            f"{flag} must be positive for scenario {args.scenario}, got {count}",
-            file=out,
-        )
-        return 2
+        parser.error(f"{flag} must be positive for scenario {args.scenario}, got {count}")
 
     def build_dag(network):
         if args.scenario == "lf":
@@ -644,7 +648,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
 
 def _run(parser, args, out) -> int:
     if args.command == "schedule":
-        return _run_schedule(args, out)
+        return _run_schedule(parser, args, out)
 
     if args.command == "faults":
         return _run_faults(args, out)

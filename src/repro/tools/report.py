@@ -352,6 +352,21 @@ def render_report(data: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
+def non_negative_int(text: str) -> int:
+    """The ``type=`` of the CLIs' seed and flow/request-count options.
+
+    A negative value is a usage error (exit 2, ``argument --seed: must
+    be non-negative, got -1``) instead of an RNG traceback.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def cannot_write(error: OSError) -> int:
     """Report an unwritable output file on stderr; the exit status (2)."""
     print(f"error: cannot write {error.filename}: {error.strerror}", file=sys.stderr)

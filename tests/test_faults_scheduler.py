@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines import DionysusScheduler, FifoOrderScheduler, RandomOrderScheduler
 from repro.core.requests import RequestDag
 from repro.core.scheduler import (
     BasicTangoScheduler,
@@ -11,6 +12,7 @@ from repro.core.scheduler import (
     PrefixTangoScheduler,
 )
 from repro.faults import DisconnectWindow, FaultInjector, FaultPlan
+from repro.netem.scenarios import FAULT_SCENARIOS, LinkFailureScenario
 from repro.openflow.channel import ControlChannel
 from repro.openflow.match import IpPrefix, Match
 from repro.openflow.messages import FlowModCommand
@@ -18,6 +20,7 @@ from repro.sim.latency import ConstantLatency
 from repro.switches.base import ControlCostModel, SimulatedSwitch
 from repro.tables.policies import FIFO
 from repro.tables.stack import TableLayer
+from repro.tools.cli import _triangle_testbed
 
 
 def _switch(name, add=1.0):
@@ -274,3 +277,61 @@ def test_prefix_scheduler_replans_faulted_requests():
     assert dag.is_done()
     assert len(result.records) == 12
     assert result.fault_retries > 0
+
+
+# -- every scheduler, baselines included, on the faulted LF testbed ------------
+def _flat_estimate(request):
+    return 1.0
+
+
+ALL_SCHEDULERS = {
+    "basic": BasicTangoScheduler,
+    "prefix": lambda ex: PrefixTangoScheduler(ex, estimate=_flat_estimate),
+    "deadline": lambda ex: DeadlineAwareTangoScheduler(ex, estimate=_flat_estimate),
+    "concurrent": lambda ex: ConcurrentTangoScheduler(ex, estimate=_flat_estimate),
+    "dionysus": DionysusScheduler,
+    "random": lambda ex: RandomOrderScheduler(ex, seed=3),
+    "fifo": FifoOrderScheduler,
+}
+
+
+def _link_failure_schedule(name, fault_scenario=None):
+    """Schedule the 200-flow link-failure update on the triangle testbed."""
+    network = _triangle_testbed(0, 200)
+    dag = LinkFailureScenario(network, ("s1", "s2")).build_dag().dag
+    injector = (
+        FaultInjector(FAULT_SCENARIOS[fault_scenario].plan(0))
+        if fault_scenario is not None
+        else None
+    )
+    executor = network.executor(fault_injector=injector)
+    return dag, ALL_SCHEDULERS[name](executor).schedule(dag)
+
+
+def _signature(result):
+    return (
+        [(r.request.request_id, r.started_ms, r.finished_ms) for r in result.records],
+        result.makespan_ms,
+        result.rounds,
+        result.pattern_choices,
+        result.deadline_misses,
+        result.fault_retries,
+    )
+
+
+@pytest.mark.parametrize("fault_scenario", ["lossy", "reject", "chaos"])
+@pytest.mark.parametrize("name", sorted(ALL_SCHEDULERS))
+def test_every_scheduler_completes_under_injected_faults(name, fault_scenario):
+    dag, result = _link_failure_schedule(name, fault_scenario)
+    issued = [record.request.request_id for record in result.records]
+    assert dag.is_done()
+    assert sorted(issued) == sorted(request.request_id for request in dag.requests)
+    assert len(set(issued)) == len(issued)
+    assert result.fault_retries > 0
+
+
+@pytest.mark.parametrize("name", sorted(ALL_SCHEDULERS))
+def test_every_scheduler_is_unchanged_by_a_fault_free_injector(name):
+    _, bare = _link_failure_schedule(name)
+    _, injected = _link_failure_schedule(name, "none")
+    assert _signature(injected) == _signature(bare)

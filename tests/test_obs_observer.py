@@ -144,6 +144,13 @@ BAD_INPUT = [
     (probe_main, ["schedule", "--flows", "5", "--trace", "{missing}/t"], 2, "error: cannot write"),
     (serve_main, ["--arrivals", "50", "--telemetry", "{missing}/t"], 2, "error: cannot write"),
     (serve_main, ["--arrivals", "50", "--report", "{missing}/r.md"], 2, "error: cannot write"),
+    (probe_main, ["probe", "--profile", "ovs", "--seed", "-1"], 2, "--seed: must be non-negative"),
+    (probe_main, ["schedule", "--seed", "-1"], 2, "--seed: must be non-negative"),
+    (probe_main, ["faults", "--seed", "-1"], 2, "--seed: must be non-negative"),
+    (serve_main, ["--arrivals", "50", "--seed", "-1"], 2, "--seed: must be non-negative"),
+    (probe_main, ["schedule", "--flows", "0"], 2, "--flows must be positive for scenario lf"),
+    (probe_main, ["schedule", "--scenario", "te1", "--requests", "0"], 2, "--requests must be"),
+    (probe_main, ["faults", "--flows", "-2"], 2, "--flows: must be non-negative, got -2"),
 ]
 
 #: Input files the ``BAD_INPUT`` argv templates name.

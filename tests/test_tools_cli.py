@@ -1,8 +1,11 @@
 """Tests for the tango-probe CLI."""
 
 import io
+from contextlib import redirect_stderr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.tools.cli import main
 
@@ -510,10 +513,36 @@ def test_infer_rejects_nonpositive_max_in_flight():
     assert "max_in_flight must be positive, got 0" in out.getvalue()
 
 
-def test_schedule_rejects_an_empty_update():
-    out = io.StringIO()
-    assert main(["schedule", "--scenario", "lf", "--flows", "0"], out=out) == 2
-    assert "--flows must be positive for scenario lf, got 0" in out.getvalue()
-    out = io.StringIO()
-    assert main(["schedule", "--scenario", "te1", "--requests", "0"], out=out) == 2
-    assert "--requests must be positive" in out.getvalue()
+def test_schedule_rejects_an_empty_update(capsys):
+    with pytest.raises(SystemExit) as exit:
+        main(["schedule", "--scenario", "lf", "--flows", "0"], out=io.StringIO())
+    assert exit.value.code == 2
+    assert "--flows must be positive for scenario lf, got 0" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit:
+        main(["schedule", "--scenario", "te1", "--requests", "0"], out=io.StringIO())
+    assert exit.value.code == 2
+    assert "--requests must be positive" in capsys.readouterr().err
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    scenario=st.sampled_from(["lf", "te1", "te2"]),
+    strict=st.booleans(),
+    flows=st.integers(-2, 12),
+    requests=st.integers(-2, 24),
+    seed=st.integers(-2, 5),
+)
+def test_fuzzed_schedule_argv_never_escapes_as_a_traceback(
+    scenario, strict, flows, requests, seed
+):
+    argv = ["schedule", "--scenario", scenario, "--flows", str(flows)]
+    argv += ["--requests", str(requests), "--seed", str(seed)]
+    argv += ["--strict"] if strict else []
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stderr(err):
+        try:
+            status = main(argv, out=out)
+        except SystemExit as exit:
+            status = exit.code
+    assert status in (0, 2), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue()
