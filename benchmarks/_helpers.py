@@ -57,11 +57,8 @@ def ruleset_dag(
         requests[index] = dag.new_request(
             location, FlowModCommand.ADD, rule, priority=priorities[index]
         )
-    # Edges follow ACL index order, so acyclicity holds by construction;
-    # one final validation replaces the per-edge check.
     for u, v in ruleset.dependencies.edges():
-        dag.add_dependency(requests[u], requests[v], check_cycle=False)
-    dag.validate_acyclic()
+        dag.add_dependency(requests[u], requests[v])
     return dag
 
 

@@ -55,7 +55,7 @@ def check_dag(
         report: optional report to append to.
     """
     report = report if report is not None else DiagnosticReport()
-    acyclic = _check_cycles(dag, report)
+    acyclic = _check_acyclic(dag, report)
     _check_orphan_barriers(dag, existing, report)
     if estimate is not None and acyclic:
         _check_deadlines(dag, estimate, report)
@@ -65,7 +65,7 @@ def check_dag(
 
 
 # -- TNG010 ------------------------------------------------------------------
-def _check_cycles(dag: RequestDag, report: DiagnosticReport) -> bool:
+def _check_acyclic(dag: RequestDag, report: DiagnosticReport) -> bool:
     if dag.is_acyclic():
         return True
     members = dag.find_cycle_ids()

@@ -101,8 +101,7 @@ class AclApplication:
         # Shadowing rules install first: edge u -> v means u precedes v
         # in the ACL and overlaps it.
         for u, v in dependencies.edges():
-            dag.add_dependency(local_requests[u], local_requests[v], check_cycle=False)
-        dag.validate_acyclic()
+            dag.add_dependency(local_requests[u], local_requests[v])
         requests = {
             index_map[local]: request for local, request in local_requests.items()
         }

@@ -99,8 +99,7 @@ def enforce_topological_priorities(dag: RequestDag, base: int = 100_000) -> Requ
         rewritten.add_request(updated)
         by_id[request.request_id] = updated
     for first_id, then_id in dag._graph.edges():
-        # The source DAG is already acyclic; skip the per-edge check.
-        rewritten.add_dependency(by_id[first_id], by_id[then_id], check_cycle=False)
+        rewritten.add_dependency(by_id[first_id], by_id[then_id])
     return rewritten
 
 

@@ -10,7 +10,10 @@ A *switch request* is one rule operation targeted at one switch::
 
 Requests may depend on each other (consistent-update ordering, barrier
 priorities for negation); the dependencies form a directed acyclic graph
-that the Tango scheduler consumes.
+that the Tango scheduler consumes.  :meth:`RequestDag.add_dependency`
+rejects a cycle-closing edge before mutating anything, and its search
+covers only ``then``'s descendants, so appending requests with
+``new_request(after=...)`` costs O(1) per edge.
 
 Scheduling queries are *incremental*: the DAG maintains a per-node
 pending-predecessor counter and a ready set, so
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -143,16 +146,8 @@ class RequestDag:
         self._ready.add(rid)
         self._critical_cache = None
 
-    def add_dependency(
-        self, first: SwitchRequest, then: SwitchRequest, check_cycle: bool = True
-    ) -> None:
+    def add_dependency(self, first: SwitchRequest, then: SwitchRequest) -> None:
         """Require ``first`` to finish before ``then`` starts.
-
-        Args:
-            check_cycle: verify acyclicity after adding the edge.  Bulk
-                constructors that add edges in a known topological order
-                (e.g. ACL index order) may disable the per-edge check and
-                call :meth:`validate_acyclic` once at the end.
 
         Raises:
             KeyError: either endpoint was never added to this DAG.
@@ -165,24 +160,33 @@ class RequestDag:
             raise KeyError(f"unknown request {missing}")
         if self._graph.has_edge(fid, tid):
             return  # idempotent: the constraint already holds
+        if self._reaches(tid, fid):
+            raise ValueError("dependency would create a cycle")
         self._graph.add_edge(fid, tid)
-        blocked = fid not in self._done
-        if blocked:
+        if fid not in self._done:
             self._pending[tid] += 1
             self._ready.discard(tid)
-        if check_cycle and not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(fid, tid)
-            if blocked:
-                self._pending[tid] -= 1
-                if self._pending[tid] == 0 and tid not in self._done:
-                    self._ready.add(tid)
-            raise ValueError("dependency would create a cycle")
         self._critical_cache = None
 
-    def validate_acyclic(self) -> None:
-        """Raise ValueError if the dependency graph contains a cycle."""
-        if not nx.is_directed_acyclic_graph(self._graph):
-            raise ValueError("dependency graph contains a cycle")
+    def _reaches(self, source: int, target: int) -> bool:
+        """True when ``target`` is ``source`` or one of its descendants.
+
+        An iterative DFS over successors only; it leaves ``ops`` alone,
+        since those counters measure scheduling work, not construction.
+        """
+        if source == target:
+            return True
+        succ = self._graph.succ
+        seen = {source}
+        stack = [source]
+        while stack:
+            for node in succ[stack.pop()]:
+                if node == target:
+                    return True
+                if node not in seen:
+                    seen.add(node)
+                    stack.append(node)
+        return False
 
     # -- scheduling queries --------------------------------------------------
     def __len__(self) -> int:
@@ -460,25 +464,3 @@ class ReadySimulation:
         for rid in request_ids:
             if rid not in self._done:
                 self._complete_one(rid)
-
-
-def chain_requests(
-    dag: RequestDag,
-    specs: Sequence[Tuple[str, FlowModCommand, Match, int]],
-) -> List[SwitchRequest]:
-    """Add ``specs`` as a dependency chain (bulk, one final cycle check).
-
-    Each spec is ``(location, command, match, priority)``; request *i*
-    depends on request *i-1*.  Edges follow creation order, so acyclicity
-    holds by construction and the per-edge check is skipped.
-    """
-    requests: List[SwitchRequest] = []
-    previous: Optional[SwitchRequest] = None
-    for location, command, match, priority in specs:
-        request = dag.new_request(location, command, match, priority=priority)
-        if previous is not None:
-            dag.add_dependency(previous, request, check_cycle=False)
-        previous = request
-        requests.append(request)
-    dag.validate_acyclic()
-    return requests

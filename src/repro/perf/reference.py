@@ -26,7 +26,7 @@ asserts the results are bit-for-bit identical.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, List, Optional, Sequence, Tuple
 
 from repro.core.requests import ReadySimulation, RequestDag, SwitchRequest
 from repro.core.scheduler import (
@@ -54,8 +54,10 @@ class ReferenceBasicTangoScheduler(BasicTangoScheduler):
 
     Identical issue order, timings, and pattern choices to
     :class:`~repro.core.scheduler.BasicTangoScheduler`; only the ready-set
-    discovery differs.  ``scan_ops`` counts requests and in-edges visited
-    by the rescans -- the work the incremental ready set eliminated.
+    discovery differs: ``_next_batch`` rescans, and the shared loop
+    (fault deferral included) does the rest.  ``scan_ops`` counts
+    requests and in-edges visited by the rescans -- the work the
+    incremental ready set eliminated.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -63,7 +65,7 @@ class ReferenceBasicTangoScheduler(BasicTangoScheduler):
         self.scan_ops = 0
 
     def _scan_independent(
-        self, dag: RequestDag, done: Set[int]
+        self, dag: RequestDag, done: AbstractSet[int]
     ) -> List[SwitchRequest]:
         """The historical O(V + E) scan: check every request's in-edges."""
         ready: List[SwitchRequest] = []
@@ -77,29 +79,10 @@ class ReferenceBasicTangoScheduler(BasicTangoScheduler):
                 ready.append(request)
         return ready
 
-    def schedule(self, dag: RequestDag) -> ScheduleResult:
-        self.executor.reset_epoch()
-        result = ScheduleResult(makespan_ms=0.0)
-        finish_times: Dict[int, float] = {}
-        done: Set[int] = set()
-        total = len(dag)
-        while len(done) < total:
-            independent = self._scan_independent(dag, done)
-            if not independent:
-                raise RuntimeError("DAG not done but no independent requests")
-            pattern, ordered = self.oracle.choose(independent)
-            result.pattern_choices.append(pattern.name)
-            for request in ordered:
-                not_before = self._not_before(dag, request, finish_times)
-                record = self.executor.issue(request, not_before_ms=not_before)
-                finish_times[request.request_id] = record.finished_ms
-                result.records.append(record)
-                done.add(request.request_id)
-                result.makespan_ms = max(
-                    result.makespan_ms, record.finished_ms - self.executor.epoch_ms
-                )
-            result.rounds += 1
-        return self._finalize_schedule(result)
+    def _next_batch(self, dag: RequestDag, result: ScheduleResult) -> NextBatch:
+        pattern, ordered = self.oracle.choose(self._scan_independent(dag, dag.done_ids))
+        result.pattern_choices.append(pattern.name)
+        return ordered, ordered, {"pattern": pattern.name}
 
 
 class _ReferencePrefixPlanner:

@@ -73,9 +73,8 @@ def chain_dag(n: int, location: str = "sw") -> RequestDag:
             location, FlowModCommand.ADD, _match(index), priority=index + 1
         )
         if previous is not None:
-            dag.add_dependency(previous, request, check_cycle=False)
+            dag.add_dependency(previous, request)
         previous = request
-    dag.validate_acyclic()
     return dag
 
 
@@ -96,11 +95,10 @@ def layered_dag(n: int, width: int = 50, location: str = "sw") -> RequestDag:
         )
         if previous_layer:
             parent = previous_layer[len(layer) % len(previous_layer)]
-            dag.add_dependency(parent, request, check_cycle=False)
+            dag.add_dependency(parent, request)
         layer.append(request)
         if len(layer) == width:
             previous_layer, layer = layer, []
-    dag.validate_acyclic()
     return dag
 
 

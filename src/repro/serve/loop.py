@@ -95,6 +95,8 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        if self.capacity is not None and self.capacity < 1:
+            raise ValueError("capacity must be at least 1")
         if self.idle_timeout_ms <= 0:
             raise ValueError("idle_timeout_ms must be positive")
         if self.maintenance_interval_ms <= 0:

@@ -292,15 +292,13 @@ def _run_sanitize_fixture(args, out) -> int:
     return 1 if races.findings else 0
 
 
-def _run_fleet(args, out) -> int:
+def _run_fleet(parser, args, out) -> int:
     from repro.core.fleet import FleetInferenceEngine, build_fleet
 
     if args.fleet < 1:
-        print(f"--fleet must be positive, got {args.fleet}", file=out)
-        return 2
+        parser.error(f"--fleet must be positive, got {args.fleet}")
     if args.shards is not None and args.shards < 1:
-        print(f"--shards must be positive, got {args.shards}", file=out)
-        return 2
+        parser.error(f"--shards must be positive, got {args.shards}")
     if args.fleet_profiles:
         names = [name.strip() for name in args.fleet_profiles.split(",") if name.strip()]
     else:
@@ -665,7 +663,7 @@ def _run(parser, args, out) -> int:
         return _run_sanitize_fixture(args, out)
 
     if args.fleet is not None:
-        return _run_fleet(args, out)
+        return _run_fleet(parser, args, out)
 
     if args.sanitize or args.fault_scenario:
         print(

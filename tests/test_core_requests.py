@@ -1,6 +1,8 @@
 """Tests for switch requests and the request DAG."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.requests import RequestDag, SwitchRequest
 from repro.openflow.match import IpPrefix, Match
@@ -202,6 +204,53 @@ def test_rejected_cycle_leaves_counters_intact():
     assert dag.independent_requests() == [a]
     dag.mark_done(a)
     assert dag.independent_requests() == [b]
+
+
+_STEP = st.one_of(
+    st.tuples(st.just("edge"), st.integers(0, 11), st.integers(0, 11)),
+    st.tuples(st.just("done"), st.integers(0, 11), st.just(0)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 12), steps=st.lists(_STEP, max_size=40))
+def test_cycle_rejection_matches_networkx(n, steps):
+    """``add_dependency`` raises exactly when the edge would close a cycle
+    in a shadow networkx graph, and a rejected edge changes nothing."""
+    dag = RequestDag()
+    requests = [dag.new_request("s", FlowModCommand.ADD, _match(i)) for i in range(n)]
+    shadow = nx.DiGraph()
+    shadow.add_nodes_from(range(n))
+    done = set()
+    for kind, a, b in steps:
+        a, b = a % n, b % n
+        if kind == "done":
+            dag.mark_done(requests[a])
+            done.add(requests[a].request_id)
+            continue
+        trial = shadow.copy()
+        trial.add_edge(a, b)
+        closes_cycle = not nx.is_directed_acyclic_graph(trial)
+        edges = dag.edge_ids()
+        ready = dag.independent_requests()
+        ops = (dag.ops.edge_visits, dag.ops.ready_yields)
+        if closes_cycle:
+            with pytest.raises(ValueError, match="cycle"):
+                dag.add_dependency(requests[a], requests[b])
+            assert (dag.ops.edge_visits, dag.ops.ready_yields) == ops
+            assert dag.edge_ids() == edges
+            assert dag.independent_requests() == ready
+        else:
+            dag.add_dependency(requests[a], requests[b])
+            shadow = trial
+        assert sorted(dag.edge_ids()) == sorted(shadow.edges())
+        expected = [
+            r for r in requests
+            if r.request_id not in done
+            and all(p in done for p in shadow.predecessors(r.request_id))
+        ]
+        assert dag.independent_requests() == expected
+    assert dag.is_acyclic()
 
 
 def test_critical_path_cache_invalidated_on_mutation():

@@ -16,6 +16,7 @@ from repro.netem.scenarios import FAULT_SCENARIOS, LinkFailureScenario
 from repro.openflow.channel import ControlChannel
 from repro.openflow.match import IpPrefix, Match
 from repro.openflow.messages import FlowModCommand
+from repro.perf.reference import ReferenceBasicTangoScheduler
 from repro.sim.latency import ConstantLatency
 from repro.switches.base import ControlCostModel, SimulatedSwitch
 from repro.tables.policies import FIFO
@@ -292,6 +293,7 @@ ALL_SCHEDULERS = {
     "dionysus": DionysusScheduler,
     "random": lambda ex: RandomOrderScheduler(ex, seed=3),
     "fifo": FifoOrderScheduler,
+    "reference": ReferenceBasicTangoScheduler,
 }
 
 
@@ -335,3 +337,11 @@ def test_every_scheduler_is_unchanged_by_a_fault_free_injector(name):
     _, bare = _link_failure_schedule(name)
     _, injected = _link_failure_schedule(name, "none")
     assert _signature(injected) == _signature(bare)
+
+
+@pytest.mark.parametrize("fault_scenario", ["lossy", "reject", "chaos"])
+def test_reference_scheduler_matches_basic_under_injected_faults(fault_scenario):
+    _, basic = _link_failure_schedule("basic", fault_scenario)
+    _, reference = _link_failure_schedule("reference", fault_scenario)
+    assert basic.fault_retries > 0
+    assert _signature(reference) == _signature(basic)

@@ -151,6 +151,15 @@ BAD_INPUT = [
     (probe_main, ["schedule", "--flows", "0"], 2, "--flows must be positive for scenario lf"),
     (probe_main, ["schedule", "--scenario", "te1", "--requests", "0"], 2, "--requests must be"),
     (probe_main, ["faults", "--flows", "-2"], 2, "--flows: must be non-negative, got -2"),
+    (serve_main, ["--arrivals", "50", "--capacity", "-1"], 2, "capacity must be at least 1"),
+    (serve_main, ["--arrivals", "50", "--capacity", "0"], 2, "capacity must be at least 1"),
+    (probe_main, ["infer", "--profile", "ovs", "--fleet", "0"], 2, "--fleet must be positive"),
+    (
+        probe_main,
+        ["infer", "--profile", "ovs", "--fleet", "2", "--shards", "0"],
+        2,
+        "--shards must be positive",
+    ),
 ]
 
 #: Input files the ``BAD_INPUT`` argv templates name.

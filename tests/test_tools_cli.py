@@ -218,12 +218,11 @@ def test_fleet_trace_writes_artifacts_with_fleet_events(tmp_path):
     assert "fleet_full_probes" in open(base + ".prom").read()
 
 
-def test_fleet_rejects_bad_sizes_and_profiles():
-    out = io.StringIO()
-    assert main(
-        ["infer", "--profile", "switch3", "--fleet", "0"], out=out
-    ) == 2
-    assert "--fleet must be positive" in out.getvalue()
+def test_fleet_rejects_bad_sizes_and_profiles(capsys):
+    with pytest.raises(SystemExit) as exit:
+        main(["infer", "--profile", "switch3", "--fleet", "0"], out=io.StringIO())
+    assert exit.value.code == 2
+    assert "--fleet must be positive, got 0" in capsys.readouterr().err
     out = io.StringIO()
     assert main(
         [
@@ -445,7 +444,7 @@ def test_infer_shards_text_report_appends_shard_section():
     assert "shard 0:" in text and "shard 1:" in text
 
 
-def test_infer_shards_rejects_incompatible_flags():
+def test_infer_shards_rejects_incompatible_flags(capsys):
     base = ["infer", "--profile", "switch1", "--fleet", "4", "--shards", "2"]
     for extra in (
         ["--max-in-flight", "2"],
@@ -455,9 +454,10 @@ def test_infer_shards_rejects_incompatible_flags():
         out = io.StringIO()
         assert main(base + extra, out=out) == 2
         assert "--shards cannot be combined" in out.getvalue()
-    out = io.StringIO()
-    assert main(base[:-2] + ["--shards", "0"], out=out) == 2
-    assert "--shards must be positive" in out.getvalue()
+    with pytest.raises(SystemExit) as exit:
+        main(base[:-2] + ["--shards", "0"], out=io.StringIO())
+    assert exit.value.code == 2
+    assert "--shards must be positive, got 0" in capsys.readouterr().err
 
 
 def test_infer_shards_with_fault_scenario_matches_legacy():
